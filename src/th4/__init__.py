@@ -14,7 +14,7 @@ from .decompose import (
     decompose_by_dimension,
     decompose_external,
 )
-from .errors import EmptyDatasetError, FormatError, NotConvergedError
+from .errors import EmptyDatasetError, FormatError, NotConvergedError, TableTooLargeError
 from .infocalc import (
     DIM_NAMES,
     EntropyReport,
@@ -59,6 +59,7 @@ __all__ = [
     "IpfResult",
     "MarginalTable",
     "NotConvergedError",
+    "TableTooLargeError",
     "build_table",
     "conditional_transmission",
     "decompose_by_dimension",

@@ -1,7 +1,8 @@
 """Command-line front end: report, batch, decompose, and ipf.
 
 Exit codes: 0 success, 2 usage errors, 3 malformed or empty input
-data, 4 non-convergence of the iterative fit, 1 other I/O failures.
+data or an oversized fit, 4 non-convergence of the iterative fit,
+1 I/O failures (including a results file with a foreign header).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .decompose import DecompositionResult, decompose_by_dimension
-from .errors import EmptyDatasetError, FormatError
+from .errors import EmptyDatasetError, FormatError, TableTooLargeError
 from .infocalc import (
     DIM_NAMES,
     H_SCHEMA,
@@ -82,11 +84,18 @@ class RunRow:
 
 
 def append_row(path: Path, row: RunRow, precision: int, full_precision: bool) -> None:
-    """Append one whole-line row; a fresh (or empty) file gets the header first."""
+    """Append one whole-line row; a fresh (or empty) file gets the header first.
+
+    Raises ValueError, leaving the file unchanged, when a non-empty
+    file's first line is not CSV_HEADER.
+    """
     line = row.to_csv(precision, full_precision) + "\n"
-    fresh = not path.exists() or path.stat().st_size == 0
-    with open(path, "a", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n" + line if fresh else line)
+    with open(path, "a+", encoding="utf-8", newline="") as fh:
+        fh.seek(0)
+        first = fh.readline()
+        if first and first.rstrip("\r\n") != CSV_HEADER:
+            raise ValueError("header does not match the th4 columns; refusing to append")
+        fh.write(line if first else CSV_HEADER + "\n" + line)
 
 
 def render_listing(label: str, report: EntropyReport, precision: int) -> str:
@@ -161,9 +170,13 @@ def _append(path: Path, row: RunRow, precision: int, full_precision: bool) -> No
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc}", err=True)
         sys.exit(1)
+    except ValueError as exc:
+        click.echo(f"error: {path}: {exc}", err=True)
+        sys.exit(1)
 
 
 def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
+    """Matched files in sorted path order, one per real file."""
     found: set[str] = set()
     for item in inputs:
         path = Path(item)
@@ -173,7 +186,10 @@ def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
             found.add(item)
         else:
             found.update(p for p in globmod.glob(item) if os.path.isfile(p))
-    return sorted(found)
+    unique: dict[str, str] = {}
+    for p in sorted(found):
+        unique.setdefault(os.path.realpath(p), p)
+    return list(unique.values())
 
 
 _input_option = click.option(
@@ -200,7 +216,7 @@ _drop_empty_option = click.option(
 
 
 @click.group(name="th4", context_settings={"help_option_names": ["-h", "--help"]})
-@click.version_option(package_name="th4", prog_name="th4")
+@click.version_option(version=__version__, prog_name="th4")
 def main():
     """Entropy and transmission statistics over categorical case records."""
 
@@ -261,9 +277,10 @@ def report(input_path, output_path, label, precision, as_json, full_precision, d
     help="Warn about files that fail to parse instead of aborting.",
 )
 def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going):
-    """Append one row per input file, in lexicographic file-name order.
+    """Append one row per input file, in sorted path order.
 
-    INPUTS are files, directories, or glob patterns.
+    INPUTS are files, directories, or glob patterns; paths that resolve
+    to the same file give one row.
     """
     files = _expand_inputs(inputs)
     if not files:
@@ -365,6 +382,8 @@ def ipf(input_path, subset, tolerance, max_iter, precision, as_json, drop_empty)
             raise ValueError("the fit needs exactly three distinct dimensions")
         table = project(build_table(dataset), dims)
         result = ipf_fit(table, tolerance=tolerance, max_iterations=max_iter)
+    except TableTooLargeError as exc:
+        _fail_data(f"{input_path}: {exc}")
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     if not result.converged:

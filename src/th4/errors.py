@@ -15,6 +15,10 @@ class EmptyDatasetError(ValueError):
     """Input contained no case records."""
 
 
+class TableTooLargeError(ValueError):
+    """A dense table would need more cells than the fit allows."""
+
+
 class NotConvergedError(RuntimeError):
     """Iterative fit stopped before reaching the requested tolerance."""
 

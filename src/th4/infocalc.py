@@ -16,11 +16,13 @@ math.fsum, so every value is independent of cell iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import fsum, log2
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .tables import ContingencyTable, marginal, normalize_subset
+import numpy as np
+
+from .tables import ContingencyTable, normalize_subset
 
 DIM_NAMES = "wxyz"
 
@@ -53,32 +55,70 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return tuple(sorted(dims))
 
 
-def _entropy_of_counts(counts: Iterable[int], total: int) -> float:
-    n = float(total)
-    h = -fsum(c / n * log2(c / n) for c in counts)
-    return h + 0.0  # normalize -0.0
+# Mixed-radix keys are re-densified before their radix could pass this.
+_KEY_LIMIT = 2**62
+
+
+def _entropies(
+    table: ContingencyTable, subsets: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], float]:
+    """H of each (normalized) subset, coding the table's cells once.
+
+    Cells are grouped by an integer mixed-radix key per subset; each H
+    sums one term per marginal cell with math.fsum, which is correctly
+    rounded, so the value depends only on the multiset of marginal
+    counts and never on cell order.
+    """
+    if table.total < 1:
+        raise ValueError("entropy of an empty table is undefined")
+    cells = list(table.counts)
+    codes = {}
+    for d in sorted(set(chain.from_iterable(subsets))):
+        index = {label: i for i, label in enumerate(table.alphabets[d])}
+        codes[d] = np.fromiter((index[c[d]] for c in cells), dtype=np.int64, count=len(cells))
+    # Counts beyond int64 stay exact as Python ints in an object array.
+    dtype = np.int64 if table.total < 2**63 else object
+    counts = np.array(list(table.counts.values()), dtype=dtype)
+    n = float(table.total)
+    out = {}
+    for dims in subsets:
+        key = np.zeros(len(cells), dtype=np.int64)
+        radix = 1
+        for d in dims:
+            size = len(table.alphabets[d])
+            if radix * size > _KEY_LIMIT:
+                uniq, key = np.unique(key, return_inverse=True)
+                radix = len(uniq)
+            key = key * size + codes[d]
+            radix *= size
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(counts[order], starts)
+        values, multiplicity = np.unique(sums, return_counts=True)
+        terms = (
+            repeat(c / n * log2(c / n), m)
+            for c, m in zip(values.tolist(), multiplicity.tolist())
+        )
+        out[dims] = -fsum(chain.from_iterable(terms)) + 0.0  # normalize -0.0
+    return out
 
 
 def entropy(table: ContingencyTable, subset: Iterable[int]) -> float:
     """Shannon entropy in bits of the marginal distribution for `subset`."""
-    if table.total < 1:
-        raise ValueError("entropy of an empty table is undefined")
     dims = normalize_subset(subset, table.arity)
-    if len(dims) == table.arity:
-        counts = table.counts.values()
-    else:
-        counts = marginal(table, dims).counts.values()
-    return _entropy_of_counts(counts, table.total)
+    return _entropies(table, [dims])[dims]
+
+
+def _lattice(dims: tuple[int, ...], min_size: int = 1) -> list[tuple[int, ...]]:
+    """Every subset of `dims` with at least `min_size` members, smallest first."""
+    return [u for size in range(min_size, len(dims) + 1) for u in combinations(dims, size)]
 
 
 def _transmission_from_entropies(
     dims: tuple[int, ...], h: Mapping[tuple[int, ...], float]
 ) -> float:
-    terms = []
-    for size in range(1, len(dims) + 1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        terms.extend(sign * h[u] for u in combinations(dims, size))
-    return fsum(terms) + 0.0
+    return fsum((1.0 if len(u) % 2 else -1.0) * h[u] for u in _lattice(dims)) + 0.0
 
 
 def transmission(table: ContingencyTable, subset: Iterable[int]) -> float:
@@ -86,26 +126,18 @@ def transmission(table: ContingencyTable, subset: Iterable[int]) -> float:
     dims = normalize_subset(subset, table.arity)
     if len(dims) < 2:
         raise ValueError("transmission needs at least two distinct dimensions")
-    h = {
-        u: entropy(table, u)
-        for size in range(1, len(dims) + 1)
-        for u in combinations(dims, size)
-    }
-    return _transmission_from_entropies(dims, h)
+    return _transmission_from_entropies(dims, _entropies(table, _lattice(dims)))
 
 
 def conditional_transmission(table: ContingencyTable, a: int, b: int, given: int) -> float:
     """Mutual information of dimensions a and b conditioned on `given`; never negative."""
     if len({a, b, given}) != 3:
         raise ValueError("the two target dimensions and the conditioning dimension must be distinct")
-    return fsum(
-        (
-            entropy(table, (a, given)),
-            entropy(table, (b, given)),
-            -entropy(table, (given,)),
-            -entropy(table, (a, b, given)),
-        )
-    ) + 0.0
+    ac, bc, c, abc = (
+        normalize_subset(s, table.arity) for s in ((a, given), (b, given), (given,), (a, b, given))
+    )
+    h = _entropies(table, (ac, bc, c, abc))
+    return fsum((h[ac], h[bc], -h[c], -h[abc])) + 0.0
 
 
 @dataclass(frozen=True)
@@ -135,13 +167,7 @@ class EntropyReport:
 
 def full_report(table: ContingencyTable) -> EntropyReport:
     """Compute H for every subset and T for every subset of size >= 2."""
-    dims = range(table.arity)
-    h: dict[tuple[int, ...], float] = {}
-    for size in range(1, table.arity + 1):
-        for subset in combinations(dims, size):
-            h[subset] = entropy(table, subset)
-    t: dict[tuple[int, ...], float] = {}
-    for size in range(2, table.arity + 1):
-        for subset in combinations(dims, size):
-            t[subset] = _transmission_from_entropies(subset, h)
+    dims = tuple(range(table.arity))
+    h = _entropies(table, _lattice(dims))
+    t = {subset: _transmission_from_entropies(subset, h) for subset in _lattice(dims, 2)}
     return EntropyReport(arity=table.arity, n_cases=table.total, h=h, t=t)

@@ -18,12 +18,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotConvergedError
+from .errors import NotConvergedError, TableTooLargeError
 from .infocalc import transmission
 from .tables import ContingencyTable
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000
+# Largest dense table the fit builds. At this size each float64 array
+# takes 80 MB, the fit holds several, and `fitted` one entry per cell.
+MAX_DENSE_CELLS = 10**7
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _SUM_AXIS = {(0, 1): 2, (0, 2): 1, (1, 2): 0}
@@ -66,7 +69,9 @@ def ipf_fit(
 
     One iteration scales toward each of the three margins once. Stops
     as soon as max_margin_error <= tolerance; a result that exhausts
-    max_iterations first is returned flagged non-converged.
+    max_iterations first is returned flagged non-converged. Raises
+    TableTooLargeError, before allocating, when the product of the
+    alphabet sizes exceeds MAX_DENSE_CELLS.
     """
     if table.arity != 3:
         raise ValueError("the two-way-margin fit is defined for three-dimension tables")
@@ -76,6 +81,12 @@ def ipf_fit(
         raise ValueError("cannot fit an empty table")
 
     alphabets = table.alphabets
+    dense_cells = len(alphabets[0]) * len(alphabets[1]) * len(alphabets[2])
+    if dense_cells > MAX_DENSE_CELLS:
+        raise TableTooLargeError(
+            f"the fit needs a dense table of {dense_cells} cells "
+            f"({' x '.join(str(len(a)) for a in alphabets)}), more than {MAX_DENSE_CELLS}"
+        )
     index = [{label: i for i, label in enumerate(alpha)} for alpha in alphabets]
     observed = np.zeros(tuple(len(alpha) for alpha in alphabets))
     for labels, count in table.counts.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from th4.cli import (
     format_value,
     main,
 )
+from th4.maxent import MAX_DENSE_CELLS
 
 
 @pytest.fixture()
@@ -179,6 +181,16 @@ class TestReport:
         result = runner.invoke(main, ["report", "--input", str(tmp_path / "nope.txt")])
         assert result.exit_code == 2
 
+    def test_foreign_header_refuses_append(self, runner, golden4_path, tmp_path):
+        out = tmp_path / "runs.csv"
+        out.write_text("name,value\nold,1\n", encoding="utf-8")
+        result = runner.invoke(main, ["report", "--input", str(golden4_path), "--output", str(out)])
+        assert result.exit_code == 1
+        assert f"error: {out}: header does not match" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
+
     def test_default_file_names(self, runner, golden4_path):
         with runner.isolated_filesystem():
             with open("data.txt", "w", encoding="utf-8") as fh:
@@ -200,6 +212,20 @@ class TestBatch:
         assert result.exit_code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "b.txt", "c.txt"]
+
+    def test_same_file_by_two_paths_gives_one_row(self, runner, tmp_path):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        for name in ("a.txt", "b.txt"):
+            write_rows(datadir / name, [("1", "2", "3")])
+        out = tmp_path / "runs.csv"
+        dotted = os.path.join(str(datadir), ".", "a.txt")
+        result = runner.invoke(
+            main, ["batch", str(datadir / "a.txt"), dotted, str(datadir), "--output", str(out)]
+        )
+        assert result.exit_code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "b.txt"]
 
     def test_glob_pattern(self, runner, tmp_path):
         for name in ("r1.txt", "r2.txt", "skip.dat"):
@@ -354,6 +380,17 @@ class TestIpf:
         )
         assert result.exit_code == EXIT_NOT_CONVERGED
         assert "max margin error" in result.stderr
+
+    def test_oversized_dense_table_is_data_error(self, runner, tmp_path):
+        # k**3 labels' cross product passes the limit with only k records.
+        k = round(MAX_DENSE_CELLS ** (1 / 3)) + 1
+        data = tmp_path / "wide.txt"
+        write_rows(data, [(f"a{i}", f"b{i}", f"c{i}") for i in range(k)])
+        result = runner.invoke(main, ["ipf", "--input", str(data), "--subset", "wxy"])
+        assert result.exit_code == EXIT_DATA_ERROR
+        assert "dense table" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_subset_must_have_three_dimensions(self, runner, golden4_path):
         result = runner.invoke(main, ["ipf", "--input", str(golden4_path), "--subset", "wx"])

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import log2
+from math import fsum, log2
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from th4.infocalc import (
@@ -17,6 +19,7 @@ from th4.infocalc import (
     subset_name,
     transmission,
 )
+from th4.tables import ContingencyTable, marginal
 
 NAMED_SCHEMA = [f"H_{subset_name(s)}" for s in H_SCHEMA] + [
     f"T_{subset_name(s)}" for s in T_SCHEMA
@@ -246,3 +249,50 @@ class TestSubsetHelpers:
     def test_subset_names(self):
         assert subset_name((0, 1, 2, 3)) == "WXYZ"
         assert subset_name((3,)) == "Z"
+
+
+def dict_marginal_entropy(table, subset):
+    """H from the label-keyed tables.marginal: one fsum term per marginal cell."""
+    n = float(table.total)
+    return -fsum(c / n * log2(c / n) for c in marginal(table, subset).counts.values()) + 0.0
+
+
+def all_subsets(arity):
+    return [s for size in range(1, arity + 1) for s in combinations(range(arity), size)]
+
+
+@st.composite
+def small_tables(draw):
+    arity = draw(st.sampled_from((3, 4)))
+    label = st.sampled_from(["", "a", "b", "c", "dd"])
+    counts = draw(
+        st.dictionaries(
+            st.tuples(*[label] * arity), st.integers(1, 10**6), min_size=1, max_size=40
+        )
+    )
+    return ContingencyTable.from_counts(arity, counts)
+
+
+class TestCodedEntropyExactness:
+    @given(small_tables())
+    @example(ContingencyTable.from_counts(3, {("", "", ""): 7}))
+    @example(ContingencyTable.from_counts(4, {("a", "", "b", ""): 1}))
+    @example(ContingencyTable.from_counts(3, {("a", "b", "c"): 2**70, ("a", "", "c"): 3}))
+    def test_bit_identical_to_dict_marginal(self, table):
+        for subset in all_subsets(table.arity):
+            assert entropy(table, subset) == dict_marginal_entropy(table, subset)
+
+    def test_alphabet_product_beyond_int64(self):
+        # 65537**4 > 2**63, so the four-dimension key is re-densified
+        # before its last digit. Each label appears in two cells, and the
+        # two cells sharing a z label differ only by one step in y.
+        m = 65537
+        counts = {
+            (f"w{t}", f"x{3 * t % m}", f"y{(5 * t + b) % m}", f"z{7 * t % m}"): 1 + (t + b) % 3
+            for t in range(m)
+            for b in (0, 1)
+        }
+        table = ContingencyTable.from_counts(4, counts)
+        assert [len(a) for a in table.alphabets] == [m] * 4
+        for subset in all_subsets(4):
+            assert entropy(table, subset) == dict_marginal_entropy(table, subset)
