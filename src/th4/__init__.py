@@ -1,11 +1,11 @@
 """Entropies and signed multi-way transmissions over categorical case records.
 
-Parse case-record files (id plus 3 or 4 nominal labels per line), count
-them into sparse contingency tables, and compute Shannon entropies,
-signed transmissions (mutual information in 2 to 4 dimensions),
-conditional transmissions, the maximum-entropy three-way interaction
-information, and group-wise decompositions of transmission. The cli
-module adds a batch front end that appends one CSV row per run.
+Count case-record files (id plus 3 or 4 nominal labels per line) into
+sparse contingency tables, and compute Shannon entropies, signed
+transmissions (mutual information in 2 to 4 dimensions), conditional
+transmissions, the maximum-entropy three-way interaction information,
+and group-wise decompositions of transmission. The cli module adds a
+batch front end that appends one CSV row per run.
 """
 
 from .decompose import (
@@ -14,7 +14,13 @@ from .decompose import (
     decompose_by_dimension,
     decompose_external,
 )
-from .errors import EmptyDatasetError, FormatError, NotConvergedError, TableTooLargeError
+from .errors import (
+    EmptyDatasetError,
+    FormatError,
+    InputDataError,
+    NotConvergedError,
+    TableTooLargeError,
+)
 from .infocalc import (
     DIM_NAMES,
     EntropyReport,
@@ -30,6 +36,7 @@ from .ingest import (
     Dataset,
     drop_empty_labels,
     load_dataset,
+    load_table,
     parse_dataset,
     parse_line,
     render_line,
@@ -56,6 +63,7 @@ __all__ = [
     "EntropyReport",
     "FormatError",
     "GroupContribution",
+    "InputDataError",
     "IpfResult",
     "MarginalTable",
     "NotConvergedError",
@@ -70,6 +78,7 @@ __all__ = [
     "ipf_fit",
     "krippendorff_interaction",
     "load_dataset",
+    "load_table",
     "marginal",
     "merge",
     "parse_dataset",

@@ -19,7 +19,7 @@ import click
 
 from . import __version__
 from .decompose import DecompositionResult, decompose_by_dimension
-from .errors import EmptyDatasetError, FormatError, TableTooLargeError
+from .errors import InputDataError, TableTooLargeError
 from .infocalc import (
     DIM_NAMES,
     H_SCHEMA,
@@ -30,13 +30,14 @@ from .infocalc import (
     subset_name,
     transmission,
 )
-from .ingest import Dataset, drop_empty_labels, load_dataset
+from .ingest import load_table
 from .maxent import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, ipf_fit, krippendorff_interaction
-from .tables import build_table, project
+from .tables import ContingencyTable, project
 
+EXIT_IO_ERROR = 1
+EXIT_USAGE = 2  # also the exit code of click's own usage failures
 EXIT_DATA_ERROR = 3
 EXIT_NOT_CONVERGED = 4
-# click's own usage failures exit with 2
 
 SCHEMA_COLUMNS = tuple(f"H_{subset_name(s)}" for s in H_SCHEMA) + tuple(
     f"T_{subset_name(s)}" for s in T_SCHEMA
@@ -154,14 +155,23 @@ def _fail_data(message: str) -> None:
     sys.exit(EXIT_DATA_ERROR)
 
 
-def _load(path: Path, label: str | None, drop_empty: bool) -> Dataset:
+def _load(
+    path: str | Path, label: str | None, drop_empty: bool, keep_going: bool = False
+) -> ContingencyTable | None:
+    """load_table, or exit: 1 for an unreadable file, 3 for bad data.
+
+    With keep_going, bad data is a warning and gives None instead.
+    """
     try:
-        dataset = load_dataset(path, label)
-        if drop_empty:
-            dataset = drop_empty_labels(dataset)
-    except (FormatError, EmptyDatasetError) as exc:
-        _fail_data(f"{path}: {exc}")
-    return dataset
+        return load_table(path, label, drop_empty)
+    except OSError as exc:
+        click.echo(f"error: cannot read {path}: {exc.strerror or exc}", err=True)
+        sys.exit(EXIT_IO_ERROR)
+    except InputDataError as exc:
+        if not keep_going:
+            _fail_data(f"{path}: {exc}")
+        click.echo(f"warning: skipping {path}: {exc}", err=True)
+        return None
 
 
 def _append(path: Path, row: RunRow, precision: int, full_precision: bool) -> None:
@@ -169,10 +179,10 @@ def _append(path: Path, row: RunRow, precision: int, full_precision: bool) -> No
         append_row(path, row, precision, full_precision)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(1)
+        sys.exit(EXIT_IO_ERROR)
     except ValueError as exc:
         click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(1)
+        sys.exit(EXIT_IO_ERROR)
 
 
 def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
@@ -248,14 +258,13 @@ def main():
 @_drop_empty_option
 def report(input_path, output_path, label, precision, as_json, full_precision, drop_empty):
     """Compute all entropies and transmissions of one file; append one row."""
-    dataset = _load(input_path, label, drop_empty)
-    rep = full_report(build_table(dataset))
-    row = RunRow.from_report(dataset.source_label, rep)
-    _append(output_path, row, precision, full_precision)
+    rep = full_report(_load(input_path, label, drop_empty))
+    name = label if label is not None else input_path.name
+    _append(output_path, RunRow.from_report(name, rep), precision, full_precision)
     if as_json:
-        click.echo(report_json(dataset.source_label, rep))
+        click.echo(report_json(name, rep))
     else:
-        click.echo(render_listing(dataset.source_label, rep, precision), nl=False)
+        click.echo(render_listing(name, rep, precision), nl=False)
 
 
 @main.command()
@@ -280,23 +289,28 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
     """Append one row per input file, in sorted path order.
 
     INPUTS are files, directories, or glob patterns; paths that resolve
-    to the same file give one row.
+    to the same file give one row. Rows are labelled with the file
+    name, so two files with the same name are refused.
     """
     files = _expand_inputs(inputs)
     if not files:
         raise click.UsageError(f"no input files matched {' '.join(inputs)!r}")
+    by_name: dict[str, str] = {}
     for path in files:
         name = os.path.basename(path)
-        try:
-            dataset = load_dataset(path)
-            if drop_empty:
-                dataset = drop_empty_labels(dataset)
-            rep = full_report(build_table(dataset))
-        except (FormatError, EmptyDatasetError) as exc:
-            if keep_going:
-                click.echo(f"warning: skipping {path}: {exc}", err=True)
-                continue
-            _fail_data(f"{path}: {exc}")
+        first = by_name.setdefault(name, path)
+        if first != path:
+            click.echo(
+                f"error: {first} and {path} share the file name {name!r}, "
+                "which would label two rows alike",
+                err=True,
+            )
+            sys.exit(EXIT_USAGE)
+    for name, path in by_name.items():
+        table = _load(path, None, drop_empty, keep_going)
+        if table is None:
+            continue
+        rep = full_report(table)
         _append(output_path, RunRow.from_report(name, rep), precision, full_precision)
         click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
 
@@ -326,16 +340,16 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
 @_drop_empty_option
 def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
     """Split the pooled transmission into per-group contributions."""
-    dataset = _load(input_path, None, drop_empty)
+    table = _load(input_path, None, drop_empty)
     try:
         dims = parse_subset(subset)
-        result = decompose_by_dimension(dataset, DIM_NAMES.index(group_by), dims)
+        result = decompose_by_dimension(table, DIM_NAMES.index(group_by), dims)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     rows = decomposition_rows(result, precision)
     click.echo(
         f"T({subset_name(result.subset)}) grouped by {group_by}: "
-        f"{dataset.arity} dimensions, {len(result.groups)} groups"
+        f"{table.arity} dimensions, {len(result.groups)} groups"
     )
     click.echo(DECOMP_HEADER)
     for line in rows:
@@ -346,7 +360,7 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
                 fh.write("\n".join([DECOMP_HEADER, *rows]) + "\n")
         except OSError as exc:
             click.echo(f"error: cannot write {output_path}: {exc}", err=True)
-            sys.exit(1)
+            sys.exit(EXIT_IO_ERROR)
 
 
 @main.command()
@@ -375,12 +389,12 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
 @_drop_empty_option
 def ipf(input_path, subset, tolerance, max_iter, precision, as_json, drop_empty):
     """Fit the no-three-way-interaction model; report the interaction information."""
-    dataset = _load(input_path, None, drop_empty)
+    table = _load(input_path, None, drop_empty)
     try:
         dims = parse_subset(subset)
         if len(dims) != 3:
             raise ValueError("the fit needs exactly three distinct dimensions")
-        table = project(build_table(dataset), dims)
+        table = project(table, dims)
         result = ipf_fit(table, tolerance=tolerance, max_iterations=max_iter)
     except TableTooLargeError as exc:
         _fail_data(f"{input_path}: {exc}")

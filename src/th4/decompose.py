@@ -17,8 +17,7 @@ from math import fsum
 from typing import Iterable, Sequence
 
 from .infocalc import transmission
-from .ingest import CaseRecord, Dataset
-from .tables import ContingencyTable, build_table, merge, normalize_subset
+from .tables import ContingencyTable, merge, normalize_subset
 
 _TOL = 1e-12
 
@@ -52,7 +51,7 @@ class DecompositionResult:
 
 def _assemble(
     dims: tuple[int, ...],
-    labeled_tables: list[tuple[str, ContingencyTable]],
+    labeled_tables: Sequence[tuple[str, ContingencyTable]],
     pooled: ContingencyTable,
 ) -> DecompositionResult:
     t_pooled = transmission(pooled, dims)
@@ -74,27 +73,27 @@ def _check_decomposable(dims: tuple[int, ...]) -> None:
 
 
 def decompose_by_dimension(
-    dataset: Dataset, group_dim: int, subset: Iterable[int]
+    table: ContingencyTable, group_dim: int, subset: Iterable[int]
 ) -> DecompositionResult:
-    """Partition records by their label on `group_dim`, decompose T over `subset`."""
-    dims = normalize_subset(subset, dataset.arity)
+    """Partition the table's cells by their label on `group_dim`, decompose T over `subset`."""
+    dims = normalize_subset(subset, table.arity)
     _check_decomposable(dims)
-    if not 0 <= group_dim < dataset.arity:
+    if not 0 <= group_dim < table.arity:
         raise ValueError(f"grouping dimension {group_dim} out of range")
     if group_dim in dims:
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
-    buckets: dict[str, list[CaseRecord]] = {}
-    for record in dataset.records:
-        buckets.setdefault(record.labels[group_dim], []).append(record)
+    buckets: dict[str, dict[tuple[str, ...], int]] = {}
+    for labels, count in table.counts.items():
+        buckets.setdefault(labels[group_dim], {})[labels] = count
     labeled_tables = [
-        (label, build_table(Dataset(tuple(records), dataset.arity, label)))
-        for label, records in buckets.items()
+        (label, ContingencyTable.from_counts(table.arity, cells))
+        for label, cells in buckets.items()
     ]
-    return _assemble(dims, labeled_tables, build_table(dataset))
+    return _assemble(dims, labeled_tables, table)
 
 
 def decompose_external(
-    groups: Sequence[tuple[str, Dataset]], subset: Iterable[int]
+    groups: Sequence[tuple[str, ContingencyTable]], subset: Iterable[int]
 ) -> DecompositionResult:
     """Decompose T over `subset` for caller-defined groups.
 
@@ -103,13 +102,12 @@ def decompose_external(
     """
     if not groups:
         raise ValueError("need at least one group")
-    arities = {ds.arity for _, ds in groups}
+    arities = {table.arity for _, table in groups}
     if len(arities) != 1:
         raise ValueError(f"groups mix arities {sorted(arities)}")
     dims = normalize_subset(subset, arities.pop())
     _check_decomposable(dims)
-    labeled_tables = [(label, build_table(ds)) for label, ds in groups]
-    pooled = labeled_tables[0][1]
-    for _, table_g in labeled_tables[1:]:
+    pooled = groups[0][1]
+    for _, table_g in groups[1:]:
         pooled = merge(pooled, table_g)
-    return _assemble(dims, labeled_tables, pooled)
+    return _assemble(dims, groups, pooled)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 
-class FormatError(ValueError):
+class InputDataError(ValueError):
+    """Input data that cannot be analysed: malformed or empty."""
+
+
+class FormatError(InputDataError):
     """Malformed input data; carries the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
@@ -11,7 +15,7 @@ class FormatError(ValueError):
         self.line_number = line_number
 
 
-class EmptyDatasetError(ValueError):
+class EmptyDatasetError(InputDataError):
     """Input contained no case records."""
 
 

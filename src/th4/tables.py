@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyDatasetError
-from .ingest import Dataset
+
+if TYPE_CHECKING:
+    from .ingest import Dataset
 
 
 def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:

@@ -206,7 +206,7 @@ def test_c08_decomposition_reconstruction(golden4):
         subset = tuple(d for d in range(4) if d != group_dim)
         cases.append((golden4, group_dim, subset))
     for dataset, group_dim, subset in cases:
-        result = decompose_by_dimension(dataset, group_dim, subset)
+        result = decompose_by_dimension(build_table(dataset), group_dim, subset)
         reconstructed = result.t_between + fsum(g.contribution for g in result.groups)
         assert abs(reconstructed - result.t_pooled) <= 1e-12
         assert abs(fsum(g.weight for g in result.groups) - 1.0) <= 1e-12

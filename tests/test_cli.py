@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
+from th4 import cli
 from th4.cli import (
     CSV_HEADER,
     DECOMP_HEADER,
@@ -265,6 +266,39 @@ class TestBatch:
         assert "warning" in result.stderr
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "c.txt"]
+
+    def test_colliding_file_names_are_refused(self, runner, tmp_path):
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "x.txt")
+            write_rows(paths[-1], [("1", "2", "3")])
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", *map(str, paths), "--output", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not out.exists()
+        [message] = result.stderr.splitlines()
+        assert message.startswith("error: ")
+        assert "'x.txt'" in message and str(paths[0]) in message and str(paths[1]) in message
+
+    def test_unreadable_input_is_io_error_and_keeps_prior_rows(
+        self, runner, tmp_path, monkeypatch
+    ):
+        write_rows(tmp_path / "a.txt", [("1", "2", "3")])
+        missing = tmp_path / "gone.txt"  # matched, then removed before it is read
+        monkeypatch.setattr(
+            cli, "_expand_inputs", lambda inputs: [str(tmp_path / "a.txt"), str(missing)]
+        )
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(tmp_path), "--output", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["a.txt"]
 
     def test_twenty_one_region_files_give_twenty_one_rows(self, runner, tmp_path):
         datadir = tmp_path / "counties"

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from th4.errors import EmptyDatasetError, FormatError
@@ -9,10 +9,12 @@ from th4.ingest import (
     CaseRecord,
     drop_empty_labels,
     load_dataset,
+    load_table,
     parse_dataset,
     parse_line,
     render_line,
 )
+from th4.tables import build_table
 
 
 class TestParseLine:
@@ -154,3 +156,114 @@ def test_drop_empty_labels_exhausting_dataset():
     dataset = parse_dataset(["a,,2,3"], "holes")
     with pytest.raises(EmptyDatasetError):
         drop_empty_labels(dataset)
+
+
+# ---- load_table against the record-level path it replaces
+
+
+def reference_table(path, label=None, drop_empty=False):
+    dataset = load_dataset(path, label)
+    return build_table(drop_empty_labels(dataset) if drop_empty else dataset)
+
+
+def outcome(load, *args):
+    """A table as every property the two paths must share, or an error as type, line and text."""
+    try:
+        table = load(*args)
+    except (FormatError, EmptyDatasetError) as exc:
+        return type(exc), getattr(exc, "line_number", None), str(exc)
+    return table.counts, list(table.counts), table.total, table.arity, table.alphabets
+
+
+def assert_same_outcome(path, label=None, drop_empty=False):
+    expected = outcome(reference_table, path, label, drop_empty)
+    assert outcome(load_table, path, label, drop_empty) == expected
+
+
+LABELS = ("a", "b", "", "c d", "é")
+
+
+@st.composite
+def field_text(draw, label):
+    """One field as it may be spelled: bare or quoted, padded or not."""
+    if draw(st.booleans()):
+        return f'"{label}"'
+    return draw(st.sampled_from(("", " "))) + label + draw(st.sampled_from(("", " ")))
+
+
+@st.composite
+def record_tail(draw, width):
+    """The text after the id of a line with `width` label fields."""
+    separator = draw(st.sampled_from((",", ", ")))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=width, max_size=width))
+    return "".join(separator + draw(field_text(label)) for label in labels)
+
+
+@st.composite
+def case_file(draw):
+    """Bytes of a case-record file whose cells repeat under several
+    spellings; about half the files carry one bad line."""
+    arity = draw(st.sampled_from((3, 4)))
+    lines: list[str] = []
+    tails: list[tuple[int, str]] = []  # (index in lines, tail)
+    for number in range(draw(st.integers(1, 20))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(("", "  ", "\t", " \t "))))
+            continue
+        tail = draw(record_tail(arity))
+        record_id = draw(st.sampled_from((f"r{number}", f'"r{number}"', f' "r{number}" ')))
+        tails.append((len(lines), tail))
+        lines.append(record_id + tail)
+    encoded = [line.encode() for line in lines]
+    bad = draw(st.sampled_from((None,) * 5 + ("fields", "arity", "quote", "utf8", "id")))
+    position = draw(st.integers(0, len(lines)))
+    if bad == "id" and tails:
+        # A bad id on a line whose tail has already appeared.
+        index, tail = draw(st.sampled_from(tails))
+        position = draw(st.integers(index + 1, len(lines)))
+        encoded.insert(position, (draw(st.sampled_from(('"r', ' "r"x', '"'))) + tail).encode())
+    elif bad == "utf8":
+        encoded.insert(position, b"u,a,\xff,b,c")
+    elif bad in ("fields", "arity", "quote"):
+        width = draw(st.sampled_from((0, 1, 5, 6))) if bad == "fields" else 7 - arity
+        tail = draw(record_tail(width if bad != "quote" else arity))
+        if bad == "quote":
+            tail = tail.rsplit(",", 1)[0] + ', "' + draw(st.sampled_from(LABELS))
+        encoded.insert(position, ("q" + tail).encode())
+    ending = draw(st.sampled_from((b"\n", b"\r\n")))
+    text = ending.join(encoded)
+    return text + ending if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case_file(), st.sampled_from((None, "run-1")), st.booleans())
+def test_load_table_matches_record_path(tmp_path, content, label, drop_empty):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, label, drop_empty)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'a,1,2,3\n"b,1,2,3\n', id="bad-id-on-a-repeated-tail"),
+        pytest.param(b'a,"1", 2,3\r\nb,1,2,"3"\nc, 1 ,2,3', id="one-cell-three-spellings"),
+        pytest.param(b"a,1,2,3\n  \nb,1,2,3,4\n", id="arity-switch-names-both-lines"),
+        pytest.param(b"a,1,2,3\nlonely\n", id="one-field"),
+        pytest.param(b"\n \t\n", id="blank-file"),
+        pytest.param(b"a,,2,3\nb,1,,3\n", id="only-empty-labels"),
+    ],
+)
+@pytest.mark.parametrize("drop_empty", [False, True])
+def test_load_table_matches_record_path_on_examples(tmp_path, content, drop_empty):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, None, drop_empty)
+
+
+def test_load_table_checks_the_id_of_a_repeated_tail(tmp_path):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(b'a,1,2,3\n"b,1,2,3\n')
+    with pytest.raises(FormatError) as exc:
+        load_table(path)
+    assert exc.value.line_number == 2
