@@ -289,10 +289,12 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
     """Append one row per input file, in sorted path order.
 
     INPUTS are files, directories, or glob patterns; paths that resolve
-    to the same file give one row. Rows are labelled with the file
-    name, so two files with the same name are refused.
+    to the same file give one row, and the results file is never read
+    as an input. Rows are labelled with the file name, so two files
+    with the same name are refused.
     """
-    files = _expand_inputs(inputs)
+    results = os.path.realpath(output_path)
+    files = [p for p in _expand_inputs(inputs) if os.path.realpath(p) != results]
     if not files:
         raise click.UsageError(f"no input files matched {' '.join(inputs)!r}")
     by_name: dict[str, str] = {}

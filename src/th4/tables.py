@@ -130,8 +130,14 @@ def merge(a: ContingencyTable, b: ContingencyTable) -> ContingencyTable:
 
 
 def project(table: ContingencyTable, subset: Iterable[int]) -> ContingencyTable:
-    """Marginal repackaged as a standalone table over the retained dimensions."""
-    m = marginal(table, subset)
+    """Marginal repackaged as a standalone table over the retained dimensions.
+
+    Onto every dimension this is `table` itself; tables are immutable.
+    """
+    dims = normalize_subset(subset, table.arity)
+    if dims == tuple(range(table.arity)):
+        return table
+    m = marginal(table, dims)
     return ContingencyTable(
         arity=len(m.subset),
         counts=m.counts,

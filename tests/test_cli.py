@@ -300,6 +300,18 @@ class TestBatch:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt"]
 
+    def test_results_file_in_an_input_directory_is_not_read(self, runner, tmp_path):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        write_rows(datadir / "a.txt", [("1", "2", "3"), ("1", "2", "4")])
+        out = datadir / "runs.csv"
+        for _ in range(2):
+            result = runner.invoke(main, ["batch", str(datadir), "--output", str(out)])
+            assert result.exit_code == 0, result.stderr
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "a.txt"]
+
     def test_twenty_one_region_files_give_twenty_one_rows(self, runner, tmp_path):
         datadir = tmp_path / "counties"
         datadir.mkdir()

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import random
-from math import log2
+from itertools import product
+from math import log2, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from th4.errors import NotConvergedError
 from th4.maxent import ipf_fit, krippendorff_interaction, redundancy_bits
-from th4.tables import project
+from th4.tables import ContingencyTable, project
 
 
 def fitted_entropy(result):
@@ -171,6 +174,70 @@ class TestKrippendorffInteraction:
             _, reference, err = oracles.ipf_reference(rows, tolerance=1e-12)
             assert err <= 1e-12
             assert krippendorff_interaction(table, result) == pytest.approx(reference, abs=1e-9)
+
+    def test_refuses_fit_of_a_table_with_other_counts(self):
+        rng = random.Random(41)
+        rows = oracles.random_dense_rows(rng, (2, 3, 2))
+        table = oracles.table_from_rows(rows)
+        result = ipf_fit(table)
+        assert result.converged
+        # same cells, one count changed: the fit still covers every cell
+        other = oracles.table_from_rows(rows + rows[:1])
+        assert set(other.counts) == set(table.counts)
+        with pytest.raises(ValueError, match="was it made from this table"):
+            krippendorff_interaction(other, result)
+
+
+# Four-dimension rows, so that projecting onto (0, 1, 2) builds a new table
+# each time; small alphabets leave zero cells inside the cross-product.
+rows4_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["p", "q"]),
+        st.sampled_from(["u", "v", "w", "x"]),
+        st.sampled_from(["0", "1"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows4_strategy)
+def test_fitted_view_and_interaction_reuse(rows):
+    full = oracles.table_from_rows(rows)
+    table = project(full, (0, 1, 2))
+    fit = ipf_fit(table)
+    fitted = fit.fitted
+    cells = list(product(*table.alphabets))
+    assert list(fitted) == cells
+    assert len(fitted) == len(cells) == prod(len(a) for a in table.alphabets)
+    for key in cells:
+        assert type(fitted[key]) is float
+        assert fitted[key] == fitted.get(key)
+        assert key in fitted
+    assert fitted == dict(fitted.items())
+    first = cells[0]
+    for bad in [("unseen",) + first[1:], first[:2], first + ("u",), list(first), "apu"]:
+        with pytest.raises(KeyError):
+            fitted[bad]
+        assert fitted.get(bad) is None
+        assert bad not in fitted
+    with pytest.raises(TypeError):
+        fitted[first] = 0.5
+
+    if not fit.converged:
+        with pytest.raises(NotConvergedError):
+            krippendorff_interaction(table, fit)
+        return
+    twin = project(full, (0, 1, 2))
+    assert twin is not table and twin == table
+    assert krippendorff_interaction(table, fit) == fit.interaction_bits
+    assert krippendorff_interaction(twin, fit) == fit.interaction_bits
+    counts = dict(table.counts)
+    counts[first] = counts.get(first, 0) + 1
+    with pytest.raises(ValueError):
+        krippendorff_interaction(ContingencyTable.from_counts(3, counts), fit)
 
 
 def test_redundancy_is_interaction_minus_transmission():

@@ -69,6 +69,20 @@ class TestMarginal:
         assert dict(inner.counts) == dict(direct.counts)
 
 
+class TestProject:
+    def test_proper_subset_is_a_new_table(self, golden4_table):
+        table = project(golden4_table, (3, 0, 1))
+        assert table is not golden4_table
+        assert table.arity == 3
+        assert dict(table.counts) == dict(marginal(golden4_table, (0, 1, 3)).counts)
+        assert table.alphabets == tuple(golden4_table.alphabets[d] for d in (0, 1, 3))
+
+    def test_bad_subsets_rejected(self, golden3_table):
+        for subset in [(), (3,), (0, 1, 2, 3), (-1, 0, 1)]:
+            with pytest.raises(ValueError):
+                project(golden3_table, subset)
+
+
 class TestMerge:
     def test_empty_table_is_identity(self, golden4_table):
         empty = ContingencyTable.from_counts(4, {})
@@ -135,6 +149,23 @@ def test_alphabets_cover_exactly_the_observed_labels(rows):
     for dim in range(3):
         observed = {row[dim] for row in rows}
         assert set(table.alphabets[dim]) == observed
+
+
+@given(rows_strategy, st.permutations([0, 1, 2]))
+def test_projection_onto_every_dimension_is_the_table(rows, order):
+    table = oracles.table_from_rows(rows)
+    m = marginal(table, order)
+    rebuilt = ContingencyTable(
+        arity=len(m.subset),
+        counts=m.counts,
+        total=m.total,
+        alphabets=tuple(table.alphabets[d] for d in m.subset),
+    )
+    projected = project(table, order)
+    assert projected is table
+    assert projected == rebuilt
+    assert list(projected.counts.items()) == list(rebuilt.counts.items())
+    assert projected.alphabets == rebuilt.alphabets
 
 
 def test_from_counts_drops_zero_cells():
