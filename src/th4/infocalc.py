@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import ContingencyTable, normalize_subset
+from .tables import ContingencyTable, _mixed_radix_key, normalize_subset
 
 DIM_NAMES = "wxyz"
 
@@ -55,14 +55,10 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return tuple(sorted(dims))
 
 
-# Mixed-radix keys are re-densified before their radix could pass this.
-_KEY_LIMIT = 2**62
-
-
 def _entropies(
     table: ContingencyTable, subsets: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], float]:
-    """H of each (normalized) subset, coding the table's cells once.
+    """H of each (normalized) subset, from the table's integer-coded cells.
 
     Cells are grouped by an integer mixed-radix key per subset; each H
     sums one term per marginal cell with math.fsum, which is correctly
@@ -71,26 +67,11 @@ def _entropies(
     """
     if table.total < 1:
         raise ValueError("entropy of an empty table is undefined")
-    cells = list(table.counts)
-    codes = {}
-    for d in sorted(set(chain.from_iterable(subsets))):
-        index = {label: i for i, label in enumerate(table.alphabets[d])}
-        codes[d] = np.fromiter((index[c[d]] for c in cells), dtype=np.int64, count=len(cells))
-    # Counts beyond int64 stay exact as Python ints in an object array.
-    dtype = np.int64 if table.total < 2**63 else object
-    counts = np.array(list(table.counts.values()), dtype=dtype)
+    codes, counts = table._coded
     n = float(table.total)
     out = {}
     for dims in subsets:
-        key = np.zeros(len(cells), dtype=np.int64)
-        radix = 1
-        for d in dims:
-            size = len(table.alphabets[d])
-            if radix * size > _KEY_LIMIT:
-                uniq, key = np.unique(key, return_inverse=True)
-                radix = len(uniq)
-            key = key * size + codes[d]
-            radix *= size
+        key = _mixed_radix_key([codes[d] for d in dims], [len(table.alphabets[d]) for d in dims])
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))

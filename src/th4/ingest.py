@@ -1,10 +1,14 @@
 """Parsing of case-record text files.
 
-load_table() reads a file once and counts its records straight into a
-ContingencyTable. It parses and validates each distinct text after the
-id field once, at its first line, and checks every line's id. The
-table and any error equal those of build_table(load_dataset(path)),
-which keeps every record as a CaseRecord in a Dataset instead.
+load_table() counts a file's records straight into a ContingencyTable.
+It reads the file in blocks of whole lines and works on each block in
+columns: numpy checks every line's comma count on the bytes, each
+label column is turned into integer codes through a dict from raw field
+text to code (so each distinct spelling is cleaned once per file), and
+the cells are counted with numpy on those codes, which the table keeps.
+The table equals build_table(load_dataset(path)), which keeps every
+record as a CaseRecord in a Dataset instead. A file that fails any
+check is handed to that record path, so every error is its error.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -27,11 +31,15 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import EmptyDatasetError, FormatError
-from .tables import ContingencyTable
+from .tables import ContingencyTable, _mixed_radix_key, build_table
 
 MIN_ARITY = 3
 MAX_ARITY = 4
+# Bytes load_table reads at a time, before extending to the next newline.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,10 +69,11 @@ def _clean_field(raw: str, line_number: int) -> str:
     return field
 
 
-def _parse_fields(
-    raw_id: str, raw_labels: list[str], line_number: int
-) -> tuple[str, tuple[str, ...]]:
-    """Check a line's fields in order (field count, id, labels); return them cleaned."""
+def parse_line(text: str, line_number: int) -> CaseRecord | None:
+    """Parse one physical line; whitespace-only lines yield None."""
+    if not text.strip():
+        return None
+    raw_id, *raw_labels = text.split(",")
     if not MIN_ARITY <= len(raw_labels) <= MAX_ARITY:
         raise FormatError(
             line_number,
@@ -75,22 +84,6 @@ def _parse_fields(
     labels = tuple(map(str.strip, raw_labels))
     if '"' in "".join(labels):  # fields without a quote only need the strip
         labels = tuple(_clean_field(raw, line_number) for raw in raw_labels)
-    return record_id, labels
-
-
-def _arity_error(line_number: int, arity: int, first_line: int, first_arity: int) -> FormatError:
-    return FormatError(
-        line_number,
-        f"record has {arity} variables, but line {first_line} has {first_arity}",
-    )
-
-
-def parse_line(text: str, line_number: int) -> CaseRecord | None:
-    """Parse one physical line; whitespace-only lines yield None."""
-    if not text.strip():
-        return None
-    raw_id, *raw_labels = text.split(",")
-    record_id, labels = _parse_fields(raw_id, raw_labels, line_number)
     return CaseRecord(id=record_id, labels=labels, line_number=line_number)
 
 
@@ -109,8 +102,10 @@ def parse_dataset(lines: Iterable[str], source_label: str) -> Dataset:
         if first is None:
             first = record
         elif len(record.labels) != len(first.labels):
-            raise _arity_error(
-                record.line_number, len(record.labels), first.line_number, len(first.labels)
+            raise FormatError(
+                record.line_number,
+                f"record has {len(record.labels)} variables, but line "
+                f"{first.line_number} has {len(first.labels)}",
             )
         records.append(record)
     if first is None:
@@ -128,13 +123,97 @@ def _decoded_lines(path: str | os.PathLike) -> Iterator[str]:
                 raise FormatError(line_number, f"invalid UTF-8: {exc.reason}") from exc
 
 
-def _source_label(path: str | os.PathLike, label: str | None) -> str:
-    return label if label is not None else os.path.basename(os.fspath(path))
-
-
 def load_dataset(path: str | os.PathLike, label: str | None = None) -> Dataset:
     """Read and parse a case-record file (UTF-8)."""
-    return parse_dataset(_decoded_lines(path), _source_label(path, label))
+    source_label = label if label is not None else os.path.basename(os.fspath(path))
+    return parse_dataset(_decoded_lines(path), source_label)
+
+
+def _record_table(
+    path: str | os.PathLike, label: str | None, drop_empty: bool
+) -> ContingencyTable:
+    """build_table(load_dataset(...)), after drop_empty_labels when asked."""
+    dataset = load_dataset(path, label)
+    return build_table(drop_empty_labels(dataset) if drop_empty else dataset)
+
+
+class _Codes(dict):
+    """Raw field text -> code of its cleaned label, codes in first-appearance
+    order; `_clean_field` runs once per distinct spelling."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        code = self[raw] = self.labels.setdefault(_clean_field(raw, 0), len(self.labels))
+        return code
+
+
+def _coded_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]] | None:
+    """Each label column of the file as int64 codes, and each dimension's
+    codes. None when a line fails a check; FormatError for a bad quote.
+    Either way the record path names the error.
+    """
+    columns: list[list[np.ndarray]] = []
+    lookups: list[_Codes] = []
+    width = 0  # commas per record, fixed by the first one
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK) + fh.readline():
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            # Line structure from the bytes: no byte below 0x80 occurs
+            # inside a UTF-8 multibyte sequence.
+            raw = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero(raw == ord("\n"))
+            if not block.endswith(b"\n"):
+                ends = np.append(ends, len(block))
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            comma_at = np.flatnonzero(raw == ord(","))
+            upto = np.searchsorted(comma_at, ends)
+            commas = np.diff(upto, prepend=0)
+            body = text[:-1] if text.endswith("\n") else text
+            if commas.all():
+                records = body.replace("\n", ",")
+            else:  # a line without a comma must be blank
+                lines = body.split("\n")
+                if any(lines[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
+                    return None
+                records = ",".join(line for line, n in zip(lines, commas.tolist()) if n)
+                kept = commas != 0
+                starts, upto, commas = starts[kept], upto[kept], commas[kept]
+                if not commas.size:
+                    continue
+            if not width:
+                width = int(commas[0])
+                if not MIN_ARITY <= width <= MAX_ARITY:
+                    return None
+                columns = [[] for _ in range(width)]
+                lookups = [_Codes() for _ in range(width)]
+            if (commas != width).any():
+                return None
+            fields = records.split(",")
+            quote_at = np.flatnonzero(raw == ord('"'))
+            if quote_at.size:
+                # An id with no quote, or with two as its first and last
+                # byte, passes _clean_field; any other id goes through it.
+                id_end = comma_at[upto - commas]
+                quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
+                plain = (quotes == 0) | (
+                    (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
+                )
+                for i in np.flatnonzero(~plain).tolist():
+                    _clean_field(fields[i * (width + 1)], 0)
+            for d, lookup in enumerate(lookups, start=1):
+                column = fields[d :: width + 1]
+                columns[d - 1].append(
+                    np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
+                )
+    if not width:
+        return None
+    return [np.concatenate(blocks) for blocks in columns], lookups
 
 
 def load_table(
@@ -146,40 +225,39 @@ def load_table(
     build_table(drop_empty_labels(...)), cell order and alphabets
     included, and raises the same errors; no record is kept.
     """
-    source_label = _source_label(path, label)
-    tails: dict[str, int] = {}  # text after the id -> lines carrying it
-    labels_of: dict[str, tuple[str, ...]] = {}
-    first_line = arity = 0
-    for line_number, line in enumerate(_decoded_lines(path), start=1):
-        cut = line.find(",")
-        if cut < 0:
-            if line.strip():
-                _parse_fields(line, [], line_number)  # raises: one field
-            continue
-        raw_id, tail = line[:cut], line[cut + 1:]
-        count = tails.get(tail)
-        if count is None:
-            _, labels = _parse_fields(raw_id, tail.split(","), line_number)
-            if not arity:
-                first_line, arity = line_number, len(labels)
-            elif len(labels) != arity:
-                raise _arity_error(line_number, len(labels), first_line, arity)
-            labels_of[tail] = labels
-            count = 0
-        elif '"' in raw_id:  # an id without quotes always passes
-            _clean_field(raw_id, line_number)
-        tails[tail] = count + 1
-    if not arity:
-        raise EmptyDatasetError(f"no case records in {source_label!r}")
-    counts: dict[tuple[str, ...], int] = {}
-    for tail, count in tails.items():
-        labels = labels_of[tail]
-        counts[labels] = counts.get(labels, 0) + count
+    try:
+        coded = _coded_columns(path)
+    except FormatError:
+        coded = None
+    if coded is None:
+        return _record_table(path, label, drop_empty)
+    columns, lookups = coded
+    alphabets = [tuple(lookup.labels) for lookup in lookups]
+    _, first, counts = np.unique(
+        _mixed_radix_key(columns, [len(alphabet) for alphabet in alphabets]),
+        return_index=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)  # cells in first-appearance order
+    rows, counts = first[order], counts[order]
+    cells = [codes[rows] for codes in columns]
     if drop_empty:
-        counts = {labels: count for labels, count in counts.items() if all(labels)}
-        if not counts:
-            raise EmptyDatasetError(f"all records in {source_label!r} carry empty labels")
-    return ContingencyTable.from_counts(arity, counts)
+        kept = np.ones(len(rows), dtype=bool)
+        for codes, lookup in zip(cells, lookups):
+            kept &= codes != lookup.labels.get("", -1)
+        if not kept.any():
+            return _record_table(path, label, drop_empty)  # raises: every record dropped
+        if not kept.all():
+            counts = counts[kept]
+            for d, alphabet in enumerate(alphabets):
+                # Keep the labels left, in first-appearance order.
+                left, at = np.unique(cells[d][kept], return_index=True)
+                left = left[np.argsort(at)]
+                recode = np.zeros(len(alphabet), dtype=np.int64)
+                recode[left] = np.arange(len(left))
+                cells[d] = recode[cells[d][kept]]
+                alphabets[d] = tuple(map(alphabet.__getitem__, left.tolist()))
+    return ContingencyTable._from_codes(tuple(alphabets), tuple(cells), counts)
 
 
 def render_line(record: CaseRecord) -> str:

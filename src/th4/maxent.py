@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotConvergedError, TableTooLargeError
 from .infocalc import transmission
-from .tables import ContingencyTable
+from .tables import ContingencyTable, _label_index
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_MAX_ITERATIONS = 1000
@@ -57,25 +57,23 @@ class _FittedView(Mapping):
     """Read-only label-tuple -> probability view of the fitted array.
 
     Iterates the full cross-product of the alphabets in the order of
-    itertools.product; a tuple outside it is a KeyError.
+    itertools.product; a tuple outside it is a KeyError. The label ->
+    index dicts are built at the first lookup.
     """
 
     __slots__ = ("_array", "_alphabets", "_index")
 
-    def __init__(
-        self,
-        array: np.ndarray,
-        alphabets: tuple[tuple[str, ...], ...],
-        index: list[dict[str, int]],
-    ):
+    def __init__(self, array: np.ndarray, alphabets: tuple[tuple[str, ...], ...]):
         array.flags.writeable = False
         self._array = array
         self._alphabets = alphabets
-        self._index = index
+        self._index: list[dict[str, int]] | None = None
 
     def __getitem__(self, labels: tuple[str, ...]) -> float:
-        if not isinstance(labels, tuple) or len(labels) != len(self._index):
+        if not isinstance(labels, tuple) or len(labels) != len(self._alphabets):
             raise KeyError(labels)
+        if self._index is None:
+            self._index = [_label_index(alphabet) for alphabet in self._alphabets]
         try:
             cell = tuple(index[label] for index, label in zip(self._index, labels))
         except KeyError:
@@ -126,10 +124,9 @@ def ipf_fit(
             f"the fit needs a dense table of {dense_cells} cells "
             f"({' x '.join(str(len(a)) for a in alphabets)}), more than {MAX_DENSE_CELLS}"
         )
-    index = [{label: i for i, label in enumerate(alpha)} for alpha in alphabets]
+    codes, counts = table._coded
     observed = np.zeros(tuple(len(alpha) for alpha in alphabets))
-    for labels, count in table.counts.items():
-        observed[index[0][labels[0]], index[1][labels[1]], index[2][labels[2]]] = count
+    observed[codes] = counts
     observed /= table.total
 
     margins = {pair: observed.sum(axis=_SUM_AXIS[pair]) for pair in _PAIRS}
@@ -160,7 +157,7 @@ def ipf_fit(
         error = margin_error(fitted)
 
     return IpfResult(
-        fitted=_FittedView(fitted, alphabets, index),
+        fitted=_FittedView(fitted, alphabets),
         iterations=iterations,
         max_margin_error=error,
         interaction_bits=_interaction_bits(observed, fitted),

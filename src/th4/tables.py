@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from functools import cached_property
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyDatasetError
 
@@ -31,11 +35,35 @@ def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:
 
 
 def _alphabets_from(arity: int, tuples: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
-    seen: list[dict[str, None]] = [{} for _ in range(arity)]
-    for labels in tuples:
-        for dim, label in enumerate(labels):
-            seen[dim].setdefault(label)
-    return tuple(tuple(d) for d in seen)
+    columns = list(zip(*tuples)) or [()] * arity
+    return tuple(tuple(dict.fromkeys(column)) for column in columns)
+
+
+def _label_index(alphabet: Sequence[str]) -> dict[str, int]:
+    """Label -> its position in `alphabet`, the code the table's cells carry."""
+    return {label: i for i, label in enumerate(alphabet)}
+
+
+# Mixed-radix keys are re-densified before their radix could pass this.
+_KEY_LIMIT = 2**62
+
+
+def _mixed_radix_key(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """One int64 key per row, equal for two rows exactly when all their codes are.
+
+    columns[i] holds codes in range(sizes[i]). Whenever the radix would
+    pass _KEY_LIMIT, the key built so far is replaced by its rank among
+    its distinct values first, so the key never overflows.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    radix = 1
+    for codes, size in zip(columns, sizes):
+        if radix * size > _KEY_LIMIT:
+            uniq, key = np.unique(key, return_inverse=True)
+            radix = len(uniq)
+        key = key * size + codes
+        radix *= size
+    return key
 
 
 @dataclass(frozen=True)
@@ -57,11 +85,52 @@ class ContingencyTable:
     def __post_init__(self):
         if self.total != sum(self.counts.values()):
             raise ValueError("total does not match the stored counts")
-        for labels, count in self.counts.items():
-            if len(labels) != self.arity:
-                raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
-            if count < 1:
-                raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
+        if self.counts and (
+            set(map(len, self.counts)) != {self.arity} or min(self.counts.values()) < 1
+        ):
+            for labels, count in self.counts.items():  # name the first offending cell
+                if len(labels) != self.arity:
+                    raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
+                if count < 1:
+                    raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
+
+    # Not a field, so ==, repr and hash ignore it; cached_property writes
+    # the instance __dict__ directly, which a frozen dataclass allows.
+    @cached_property
+    def _coded(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Per-dimension int64 codes of the cells (indices into `alphabets`),
+        aligned with `counts` order, and the counts as an array."""
+        cells = list(self.counts)
+        codes = tuple(
+            np.fromiter(
+                map(_label_index(alphabet).__getitem__, map(itemgetter(d), cells)),
+                dtype=np.int64,
+                count=len(cells),
+            )
+            for d, alphabet in enumerate(self.alphabets)
+        )
+        # Counts beyond int64 stay exact as Python ints in an object array.
+        dtype = np.int64 if self.total < 2**63 else object
+        return codes, np.array(list(self.counts.values()), dtype=dtype)
+
+    @classmethod
+    def _from_codes(
+        cls,
+        alphabets: tuple[tuple[str, ...], ...],
+        codes: tuple[np.ndarray, ...],
+        counts: np.ndarray,
+    ) -> "ContingencyTable":
+        """The table whose i-th cell has labels alphabets[d][codes[d][i]] and
+        count counts[i]; the arrays become its _coded."""
+        columns = (map(alphabet.__getitem__, c.tolist()) for alphabet, c in zip(alphabets, codes))
+        table = cls(
+            arity=len(alphabets),
+            counts=dict(zip(zip(*columns), counts.tolist())),
+            total=int(counts.sum()),
+            alphabets=alphabets,
+        )
+        table.__dict__["_coded"] = (codes, counts)
+        return table
 
     @classmethod
     def from_counts(cls, arity: int, counts: Mapping[tuple[str, ...], int]) -> "ContingencyTable":

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from th4 import ingest
 from th4.errors import EmptyDatasetError, FormatError
 from th4.ingest import (
     CaseRecord,
@@ -176,8 +179,13 @@ def outcome(load, *args):
 
 
 def assert_same_outcome(path, label=None, drop_empty=False):
+    """load_table's outcome is the record path's, and a file the record
+    path accepts never falls back to it."""
     expected = outcome(reference_table, path, label, drop_empty)
-    assert outcome(load_table, path, label, drop_empty) == expected
+    with mock.patch.object(ingest, "_record_table", wraps=ingest._record_table) as fallback:
+        assert outcome(load_table, path, label, drop_empty) == expected
+    if isinstance(expected[0], dict):
+        assert not fallback.called
 
 
 LABELS = ("a", "b", "", "c d", "é")
@@ -243,7 +251,23 @@ def test_load_table_matches_record_path(tmp_path, content, label, drop_empty):
     assert_same_outcome(path, label, drop_empty)
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(params=[1, 16])
+def tiny_blocks(request, monkeypatch):
+    """load_table reads a few bytes, then on to the next newline, per block."""
+    monkeypatch.setattr(ingest, "_BLOCK", request.param)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case_file(), st.sampled_from((None, "run-1")), st.booleans())
+def test_load_table_matches_record_path_in_tiny_blocks(
+    tmp_path, tiny_blocks, content, label, drop_empty
+):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, label, drop_empty)
+
+
+EXAMPLES = pytest.mark.parametrize(
     "content",
     [
         pytest.param(b'a,1,2,3\n"b,1,2,3\n', id="bad-id-on-a-repeated-tail"),
@@ -254,8 +278,21 @@ def test_load_table_matches_record_path(tmp_path, content, label, drop_empty):
         pytest.param(b"a,,2,3\nb,1,,3\n", id="only-empty-labels"),
     ],
 )
+
+
+@EXAMPLES
 @pytest.mark.parametrize("drop_empty", [False, True])
 def test_load_table_matches_record_path_on_examples(tmp_path, content, drop_empty):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, None, drop_empty)
+
+
+@EXAMPLES
+@pytest.mark.parametrize("drop_empty", [False, True])
+def test_load_table_matches_record_path_on_examples_in_tiny_blocks(
+    tmp_path, tiny_blocks, content, drop_empty
+):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
     assert_same_outcome(path, None, drop_empty)
@@ -267,3 +304,20 @@ def test_load_table_checks_the_id_of_a_repeated_tail(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_table(path)
     assert exc.value.line_number == 2
+
+
+def test_load_table_on_alphabets_beyond_the_key_limit(tmp_path):
+    # 65537**4 > 2**62, so the cell key is re-densified before its last
+    # digit. Each label appears in two cells, and the two cells sharing a
+    # z label differ only by one step in y; the second one is counted twice.
+    m = 65537
+    lines = [
+        f"{t},w{t},x{3 * t % m},y{(5 * t + b) % m},z{7 * t % m}\n"
+        for t in range(m)
+        for b in (0, 1, 1)
+    ]
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(lines), encoding="utf-8")
+    got = outcome(load_table, path)
+    assert [len(alphabet) for alphabet in got[-1]] == [m] * 4
+    assert got == outcome(reference_table, path)

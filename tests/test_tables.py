@@ -3,11 +3,21 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from th4.tables import ContingencyTable, build_table, marginal, merge, project
+from th4.infocalc import conditional_transmission, full_report
+from th4.ingest import load_table
+from th4.maxent import ipf_fit
+from th4.tables import (
+    ContingencyTable,
+    _alphabets_from,
+    build_table,
+    marginal,
+    merge,
+    project,
+)
 
 
 class TestBuildTable:
@@ -182,3 +192,98 @@ def test_invalid_total_rejected():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         ContingencyTable(arity=1, counts={("a",): -1}, total=-1, alphabets=(("a",),))
+
+
+class TestConstructorChecks:
+    ALPHABETS = (("a", "c"), ("b", "d"))
+
+    def test_total_must_match(self):
+        with pytest.raises(ValueError, match="^total does not match the stored counts$"):
+            ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 1}, 4, self.ALPHABETS)
+
+    def test_tuple_length_must_be_the_arity(self):
+        with pytest.raises(ValueError, match=r"^tuple \('c',\) does not have 2 labels$"):
+            ContingencyTable(2, {("a", "b"): 2, ("c",): 1}, 3, self.ALPHABETS)
+
+    def test_count_must_be_positive(self):
+        message = r"^stored count for \('c', 'd'\) must be >= 1, got 0$"
+        with pytest.raises(ValueError, match=message):
+            ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 0}, 2, self.ALPHABETS)
+
+    def test_first_offending_cell_is_named(self):
+        counts = {("a", "b"): 1, ("a", "d"): 0, ("c",): 1, ("c", "d"): -1}
+        with pytest.raises(ValueError, match=r"^stored count for \('a', 'd'\) must be >= 1"):
+            ContingencyTable(2, counts, 1, self.ALPHABETS)
+        counts = {("a", "b"): 1, ("c",): 1, ("a", "d"): 0}
+        with pytest.raises(ValueError, match=r"^tuple \('c',\) does not have 2 labels"):
+            ContingencyTable(2, counts, 2, self.ALPHABETS)
+
+
+def alphabets_by_loop(arity, tuples):
+    """Each dimension's labels in first-observation order, one label at a time."""
+    seen = [{} for _ in range(arity)]
+    for labels in tuples:
+        for dim, label in enumerate(labels):
+            seen[dim].setdefault(label)
+    return tuple(tuple(d) for d in seen)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda arity: st.tuples(
+            st.just(arity),
+            st.lists(st.tuples(*[st.sampled_from(["a", "b", "", "é", "c d"])] * arity)),
+        )
+    )
+)
+def test_alphabets_match_the_label_loop(case):
+    arity, tuples = case
+    assert _alphabets_from(arity, tuples) == alphabets_by_loop(arity, tuples)
+    assert _alphabets_from(arity, dict.fromkeys(tuples)) == alphabets_by_loop(arity, tuples)
+
+
+# ---- cell codes: seeded by load_table, or computed on first use
+
+
+def tables_both_ways(path, rows):
+    """The table load_table reads from `rows`, and an equal table built from counts."""
+    path.write_text("".join(f"r{i}," + ",".join(row) + "\n" for i, row in enumerate(rows)))
+    seeded = load_table(path)
+    return seeded, ContingencyTable.from_counts(seeded.arity, dict(seeded.counts))
+
+
+coded_rows = st.integers(3, 4).flatmap(
+    lambda arity: st.lists(
+        st.tuples(*[st.sampled_from(["a", "b", "c", ""])] * arity), min_size=1, max_size=30
+    )
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(coded_rows)
+def test_seeded_and_lazy_codes_agree(tmp_path, rows):
+    seeded, lazy = tables_both_ways(tmp_path / "cases.txt", rows)
+    assert "_coded" in vars(seeded) and "_coded" not in vars(lazy)
+    before = repr(lazy)
+    report, lazy_report = full_report(seeded), full_report(lazy)
+    assert "_coded" in vars(lazy)
+    assert report.h == lazy_report.h and report.t == lazy_report.t
+    for a, b, given_dim in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
+        assert conditional_transmission(seeded, a, b, given_dim) == conditional_transmission(
+            lazy, a, b, given_dim
+        )
+    if seeded.arity == 3:
+        fit, lazy_fit = ipf_fit(seeded), ipf_fit(lazy)
+        assert (fit.iterations, fit.max_margin_error, fit.converged) == (
+            lazy_fit.iterations,
+            lazy_fit.max_margin_error,
+            lazy_fit.converged,
+        )
+        assert fit.interaction_bits == lazy_fit.interaction_bits
+        assert dict(fit.fitted.items()) == dict(lazy_fit.fitted.items())
+    # The cache is no field: equality, repr and hashing ignore it.
+    assert seeded == lazy
+    assert repr(seeded) == repr(lazy) == before
+    for table in (seeded, lazy):
+        with pytest.raises(TypeError):
+            hash(table)
