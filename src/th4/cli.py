@@ -85,18 +85,25 @@ class RunRow:
 
 
 def append_row(path: Path, row: RunRow, precision: int, full_precision: bool) -> None:
-    """Append one whole-line row; a fresh (or empty) file gets the header first.
+    """Append one whole-line row; a fresh (or empty) file gets the header first,
+    and a file whose last line lacks its newline gets one before the row.
 
     Raises ValueError, leaving the file unchanged, when a non-empty
     file's first line is not CSV_HEADER.
     """
     line = row.to_csv(precision, full_precision) + "\n"
-    with open(path, "a+", encoding="utf-8", newline="") as fh:
+    with open(path, "a+b") as fh:
         fh.seek(0)
         first = fh.readline()
-        if first and first.rstrip("\r\n") != CSV_HEADER:
+        if not first:
+            line = CSV_HEADER + "\n" + line
+        elif first.rstrip(b"\r\n") != CSV_HEADER.encode():
             raise ValueError("header does not match the th4 columns; refusing to append")
-        fh.write(line if first else CSV_HEADER + "\n" + line)
+        else:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = "\n" + line
+        fh.write(line.encode("utf-8"))
 
 
 def render_listing(label: str, report: EntropyReport, precision: int) -> str:

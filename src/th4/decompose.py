@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .infocalc import transmission
-from .tables import ContingencyTable, merge, normalize_subset
+from .tables import ContingencyTable, _trimmed, merge, normalize_subset
 
 _TOL = 1e-12
 
@@ -82,14 +84,22 @@ def decompose_by_dimension(
         raise ValueError(f"grouping dimension {group_dim} out of range")
     if group_dim in dims:
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
-    buckets: dict[str, dict[tuple[str, ...], int]] = {}
-    for labels, count in table.counts.items():
-        buckets.setdefault(labels[group_dim], {})[labels] = count
-    labeled_tables = [
-        (label, ContingencyTable.from_counts(table.arity, cells))
-        for label, cells in buckets.items()
+    return _assemble(dims, _partition(table, group_dim), table)
+
+
+def _partition(table: ContingencyTable, group_dim: int) -> list[tuple[str, ContingencyTable]]:
+    """The table's cells split by their label on `group_dim`, cell order kept
+    within each part; parts in first-appearance order of their label."""
+    group = table._codes[group_dim]
+    order = np.argsort(group, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1) if len(order) else []
+    return [
+        (
+            table.alphabets[group_dim][group[rows[0]]],
+            _trimmed(table.alphabets, [c[rows] for c in table._codes], table._cell_counts[rows]),
+        )
+        for rows in sorted(parts, key=lambda rows: rows[0])
     ]
-    return _assemble(dims, labeled_tables, table)
 
 
 def decompose_external(

@@ -67,7 +67,7 @@ def _entropies(
     """
     if table.total < 1:
         raise ValueError("entropy of an empty table is undefined")
-    codes, counts = table._coded
+    codes, counts = table._codes, table._cell_counts
     n = float(table.total)
     out = {}
     for dims in subsets:

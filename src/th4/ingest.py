@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyDatasetError, FormatError
-from .tables import ContingencyTable, _mixed_radix_key, build_table
+from .tables import ContingencyTable, _group, _trimmed, build_table
 
 MIN_ARITY = 3
 MAX_ARITY = 4
@@ -150,7 +150,7 @@ class _Codes(dict):
         return code
 
 
-def _coded_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]] | None:
+def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]] | None:
     """Each label column of the file as int64 codes, and each dimension's
     codes. None when a line fails a check; FormatError for a bad quote.
     Either way the record path names the error.
@@ -226,38 +226,22 @@ def load_table(
     included, and raises the same errors; no record is kept.
     """
     try:
-        coded = _coded_columns(path)
+        coded = _label_columns(path)
     except FormatError:
         coded = None
     if coded is None:
         return _record_table(path, label, drop_empty)
     columns, lookups = coded
-    alphabets = [tuple(lookup.labels) for lookup in lookups]
-    _, first, counts = np.unique(
-        _mixed_radix_key(columns, [len(alphabet) for alphabet in alphabets]),
-        return_index=True,
-        return_counts=True,
-    )
-    order = np.argsort(first)  # cells in first-appearance order
-    rows, counts = first[order], counts[order]
-    cells = [codes[rows] for codes in columns]
+    alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
     if drop_empty:
-        kept = np.ones(len(rows), dtype=bool)
-        for codes, lookup in zip(cells, lookups):
-            kept &= codes != lookup.labels.get("", -1)
+        kept = np.logical_and.reduce(
+            [codes != lookup.labels.get("", -1) for codes, lookup in zip(columns, lookups)]
+        )
         if not kept.any():
             return _record_table(path, label, drop_empty)  # raises: every record dropped
         if not kept.all():
-            counts = counts[kept]
-            for d, alphabet in enumerate(alphabets):
-                # Keep the labels left, in first-appearance order.
-                left, at = np.unique(cells[d][kept], return_index=True)
-                left = left[np.argsort(at)]
-                recode = np.zeros(len(alphabet), dtype=np.int64)
-                recode[left] = np.arange(len(left))
-                cells[d] = recode[cells[d][kept]]
-                alphabets[d] = tuple(map(alphabet.__getitem__, left.tolist()))
-    return ContingencyTable._from_codes(tuple(alphabets), tuple(cells), counts)
+            return _trimmed(alphabets, *_group(alphabets, [codes[kept] for codes in columns]))
+    return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns))
 
 
 def render_line(record: CaseRecord) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import product
-from math import fsum, log2
+from math import fsum, inf, log2
 
 import numpy as np
 
@@ -105,15 +105,16 @@ def ipf_fit(
     """Fit the maximum-entropy joint matching all three two-way margins.
 
     One iteration scales toward each of the three margins once. Stops
-    as soon as max_margin_error <= tolerance; a result that exhausts
-    max_iterations first is returned flagged non-converged. Raises
+    as soon as max_margin_error <= tolerance, which must be positive and
+    finite; a result that exhausts max_iterations first is returned
+    flagged non-converged. Raises
     TableTooLargeError, before allocating, when the product of the
     alphabet sizes exceeds MAX_DENSE_CELLS.
     """
     if table.arity != 3:
         raise ValueError("the two-way-margin fit is defined for three-dimension tables")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < inf:  # also refuses nan
+        raise ValueError("tolerance must be positive and finite")
     if table.total < 1:
         raise ValueError("cannot fit an empty table")
 
@@ -124,9 +125,8 @@ def ipf_fit(
             f"the fit needs a dense table of {dense_cells} cells "
             f"({' x '.join(str(len(a)) for a in alphabets)}), more than {MAX_DENSE_CELLS}"
         )
-    codes, counts = table._coded
     observed = np.zeros(tuple(len(alpha) for alpha in alphabets))
-    observed[codes] = counts
+    observed[table._codes] = table._cell_counts
     observed /= table.total
 
     margins = {pair: observed.sum(axis=_SUM_AXIS[pair]) for pair in _PAIRS}

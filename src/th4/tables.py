@@ -1,5 +1,11 @@
 """Sparse contingency tables over tuples of category labels.
 
+A table is stored codes-first: each dimension's alphabet, one int64
+code array per dimension (the cells' indices into the alphabets) and
+one counts array. The label-tuple `counts` mapping is a read-only view
+decoded from those arrays on demand. Marginals, merges and partitions
+group the code arrays with numpy, never cell by cell in Python.
+
 Tables are immutable once built. Parallel ingestion works by building
 one table per record shard and combining with merge(); for any
 partition of the records the merged counts equal the sequentially
@@ -9,10 +15,9 @@ built ones.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +39,10 @@ def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:
     return dims
 
 
-def _alphabets_from(arity: int, tuples: Iterable[tuple[str, ...]]) -> tuple[tuple[str, ...], ...]:
+_Alphabets = tuple[tuple[str, ...], ...]
+
+
+def _alphabets_from(arity: int, tuples: Iterable[tuple[str, ...]]) -> _Alphabets:
     columns = list(zip(*tuples)) or [()] * arity
     return tuple(tuple(dict.fromkeys(column)) for column in columns)
 
@@ -66,15 +74,92 @@ def _mixed_radix_key(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.
     return key
 
 
+def _group(
+    alphabets: _Alphabets, columns: Sequence[np.ndarray], counts: np.ndarray | None = None
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Rows with equal codes summed into one cell: each cell's codes, cells in
+    first-appearance order, and its summed `counts` (its rows, if None)."""
+    key = _mixed_radix_key(columns, [len(alphabet) for alphabet in alphabets])
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    if counts is None:
+        sums = np.diff(starts, append=len(key))
+    else:
+        sums = np.add.reduceat(counts[order], starts)
+    first = order[starts]  # the stable sort puts each group's first row first
+    arrange = np.argsort(first)
+    return tuple(codes[first[arrange]] for codes in columns), sums[arrange]
+
+
+class _CountsView(Mapping):
+    """Read-only label-tuple -> count view of a table's coded cells.
+
+    Iterates the cells in storage (first-appearance) order. Lookups by
+    key build a label dict at the first one; len and == work on the
+    arrays, and == with another view compares cell sets, not order.
+    """
+
+    __slots__ = ("_alphabets", "_codes", "_counts", "_dict")
+
+    def __init__(self, alphabets: _Alphabets, codes: tuple[np.ndarray, ...], counts: np.ndarray):
+        for array in (*codes, counts):
+            array.flags.writeable = False
+        self._alphabets, self._codes, self._counts = alphabets, codes, counts
+        self._dict: dict[tuple[str, ...], int] | None = None
+
+    def _as_dict(self) -> dict[tuple[str, ...], int]:
+        if self._dict is None:
+            self._dict = dict(zip(self, self._counts.tolist()))
+        return self._dict
+
+    def __getitem__(self, labels: tuple[str, ...]) -> int:
+        return self._as_dict()[labels]
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return zip(*(map(a.__getitem__, c.tolist()) for a, c in zip(self._alphabets, self._codes)))
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __repr__(self) -> str:
+        return repr(self._as_dict())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _CountsView):
+            return super().__eq__(other)
+        if self is other:
+            return True
+        if len(self) != len(other) or len(self._alphabets) != len(other._alphabets):
+            return False
+        # A view's cells are distinct, so the two match exactly when every
+        # merged cell pairs a cell of each and their counts cancel.
+        _, sums = _group(*_stacked(self, other), np.concatenate((self._counts, -other._counts)))
+        return len(sums) == len(self) and not sums.any()
+
+
+def _stacked(a: _CountsView, b: _CountsView) -> tuple[_Alphabets, list[np.ndarray]]:
+    """The union of the alphabets (a's, then b's new labels), and per
+    dimension a's codes followed by b's, recoded into the union."""
+    alphabets = tuple(tuple(dict.fromkeys(la + lb)) for la, lb in zip(a._alphabets, b._alphabets))
+    columns = []
+    for alphabet, codes_a, labels_b, codes_b in zip(alphabets, a._codes, b._alphabets, b._codes):
+        recode = np.fromiter(map(_label_index(alphabet).__getitem__, labels_b), np.int64)
+        columns.append(np.concatenate((codes_a, recode[codes_b])))
+    return alphabets, columns
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Counts of label tuples in `arity` dimensions.
 
-    Zero cells are implicit: `counts` stores only observed tuples, each
-    with a count >= 1. `alphabets` lists each dimension's distinct
-    labels in first-observation order; the ordering never affects any
-    computed value. Counts are plain Python ints, so there is no
-    overflow ceiling on dataset size.
+    Zero cells are implicit: only observed tuples are stored, each with
+    a count >= 1. `alphabets` lists each dimension's distinct labels in
+    first-observation order; the ordering never affects any computed
+    value. The cells are kept as one int64 code array per dimension
+    (indices into `alphabets`) and a counts array, int64 or, when
+    `total` >= 2**63, exact Python ints in an object array. `counts` is
+    a read-only mapping over the observed cells in first-appearance
+    order; the constructor codes any mapping it is given once.
     """
 
     arity: int
@@ -83,65 +168,70 @@ class ContingencyTable:
     alphabets: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        if self.total != sum(self.counts.values()):
+        counts = self.counts
+        coded = (
+            isinstance(counts, _CountsView)
+            and counts._alphabets == self.alphabets
+            and len(self.alphabets) == self.arity
+        )
+        if self.total != (counts._counts.sum() if coded else sum(counts.values())):
             raise ValueError("total does not match the stored counts")
-        if self.counts and (
-            set(map(len, self.counts)) != {self.arity} or min(self.counts.values()) < 1
-        ):
-            for labels, count in self.counts.items():  # name the first offending cell
+        if coded:
+            return
+        if counts and (set(map(len, counts)) != {self.arity} or min(counts.values()) < 1):
+            for labels, count in counts.items():  # name the first offending cell
                 if len(labels) != self.arity:
                     raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
                 if count < 1:
                     raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
-
-    # Not a field, so ==, repr and hash ignore it; cached_property writes
-    # the instance __dict__ directly, which a frozen dataclass allows.
-    @cached_property
-    def _coded(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Per-dimension int64 codes of the cells (indices into `alphabets`),
-        aligned with `counts` order, and the counts as an array."""
-        cells = list(self.counts)
+        columns = list(zip(*counts)) or [()] * self.arity
         codes = tuple(
-            np.fromiter(
-                map(_label_index(alphabet).__getitem__, map(itemgetter(d), cells)),
-                dtype=np.int64,
-                count=len(cells),
-            )
-            for d, alphabet in enumerate(self.alphabets)
+            np.fromiter(map(_label_index(alphabet).__getitem__, column), np.int64, len(column))
+            for alphabet, column in zip(self.alphabets, columns)
         )
         # Counts beyond int64 stay exact as Python ints in an object array.
-        dtype = np.int64 if self.total < 2**63 else object
-        return codes, np.array(list(self.counts.values()), dtype=dtype)
+        array = np.array(list(counts.values()), dtype=np.int64 if self.total < 2**63 else object)
+        object.__setattr__(self, "counts", _CountsView(self.alphabets, codes, array))
+
+    @property
+    def _codes(self) -> tuple[np.ndarray, ...]:  # per dimension, indices into `alphabets`
+        return self.counts._codes
+
+    @property
+    def _cell_counts(self) -> np.ndarray:  # aligned with `_codes`
+        return self.counts._counts
 
     @classmethod
     def _from_codes(
-        cls,
-        alphabets: tuple[tuple[str, ...], ...],
-        codes: tuple[np.ndarray, ...],
-        counts: np.ndarray,
+        cls, alphabets: _Alphabets, codes: tuple[np.ndarray, ...], counts: np.ndarray
     ) -> "ContingencyTable":
         """The table whose i-th cell has labels alphabets[d][codes[d][i]] and
-        count counts[i]; the arrays become its _coded."""
-        columns = (map(alphabet.__getitem__, c.tolist()) for alphabet, c in zip(alphabets, codes))
-        table = cls(
-            arity=len(alphabets),
-            counts=dict(zip(zip(*columns), counts.tolist())),
-            total=int(counts.sum()),
-            alphabets=alphabets,
-        )
-        table.__dict__["_coded"] = (codes, counts)
-        return table
+        count counts[i]; the arrays become its storage."""
+        total = int(counts.sum())
+        counts = counts.astype(np.int64 if total < 2**63 else object, copy=False)
+        return cls(len(alphabets), _CountsView(alphabets, codes, counts), total, alphabets)
 
     @classmethod
     def from_counts(cls, arity: int, counts: Mapping[tuple[str, ...], int]) -> "ContingencyTable":
         """Build a table from an explicit cell->count mapping (zero cells dropped)."""
         kept = {labels: count for labels, count in counts.items() if count != 0}
-        return cls(
-            arity=arity,
-            counts=kept,
-            total=sum(kept.values()),
-            alphabets=_alphabets_from(arity, kept),
-        )
+        return cls(arity, kept, sum(kept.values()), _alphabets_from(arity, kept))
+
+
+def _trimmed(
+    alphabets: _Alphabets, codes: Sequence[np.ndarray], counts: np.ndarray
+) -> ContingencyTable:
+    """The table of these cells, each alphabet cut to the labels the cells
+    use, in first-appearance order."""
+    kept_alphabets, kept_codes = [], []
+    for alphabet, column in zip(alphabets, codes):
+        used, at = np.unique(column, return_index=True)
+        used = used[np.argsort(at)]
+        recode = np.zeros(len(alphabet), dtype=np.int64)
+        recode[used] = np.arange(len(used))
+        kept_codes.append(recode[column])
+        kept_alphabets.append(tuple(map(alphabet.__getitem__, used.tolist())))
+    return ContingencyTable._from_codes(tuple(kept_alphabets), tuple(kept_codes), counts)
 
 
 @dataclass(frozen=True)
@@ -169,33 +259,18 @@ def build_table(dataset: Dataset) -> ContingencyTable:
 def marginal(table: ContingencyTable, subset: Iterable[int]) -> MarginalTable:
     """Sum counts over the dimensions not in `subset`; total is preserved."""
     dims = normalize_subset(subset, table.arity)
-    out: dict[tuple[str, ...], int] = {}
-    for labels, count in table.counts.items():
-        key = tuple(labels[d] for d in dims)
-        out[key] = out.get(key, 0) + count
-    return MarginalTable(subset=dims, counts=out, total=table.total)
-
-
-def _merged_alphabet(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    union = dict.fromkeys(a)
-    for label in b:
-        union.setdefault(label)
-    return tuple(union)
+    m = project(table, dims)
+    return MarginalTable(subset=dims, counts=m.counts, total=m.total)
 
 
 def merge(a: ContingencyTable, b: ContingencyTable) -> ContingencyTable:
-    """Cellwise sum of two tables with the same arity."""
+    """Cellwise sum of two tables with the same arity: a's cells, then b's new ones."""
     if a.arity != b.arity:
         raise ValueError(f"cannot merge tables of arity {a.arity} and {b.arity}")
-    counts = dict(a.counts)
-    for labels, count in b.counts.items():
-        counts[labels] = counts.get(labels, 0) + count
-    alphabets = tuple(
-        _merged_alphabet(pa, pb) for pa, pb in zip(a.alphabets, b.alphabets)
-    )
-    return ContingencyTable(
-        arity=a.arity, counts=counts, total=a.total + b.total, alphabets=alphabets
-    )
+    alphabets, columns = _stacked(a.counts, b.counts)
+    dtype = np.int64 if a.total + b.total < 2**63 else object
+    counts = np.concatenate((a._cell_counts, b._cell_counts)).astype(dtype)
+    return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns, counts))
 
 
 def project(table: ContingencyTable, subset: Iterable[int]) -> ContingencyTable:
@@ -206,10 +281,6 @@ def project(table: ContingencyTable, subset: Iterable[int]) -> ContingencyTable:
     dims = normalize_subset(subset, table.arity)
     if dims == tuple(range(table.arity)):
         return table
-    m = marginal(table, dims)
-    return ContingencyTable(
-        arity=len(m.subset),
-        counts=m.counts,
-        total=m.total,
-        alphabets=tuple(table.alphabets[d] for d in m.subset),
-    )
+    alphabets = tuple(table.alphabets[d] for d in dims)
+    cells = _group(alphabets, [table._codes[d] for d in dims], table._cell_counts)
+    return ContingencyTable._from_codes(alphabets, *cells)

@@ -133,6 +133,54 @@ def ipf_reference(triples, tolerance=1e-12, max_iterations=50000):
     return q, interaction, err
 
 
+# --- the dict-based table operations the codes-first tables replaced ---
+#
+# Each returns (list(counts.items()), alphabets, total): cells in
+# first-appearance order, the order the library's tables keep.
+
+
+def _alphabets_of(arity, cells):
+    seen = [{} for _ in range(arity)]
+    for labels in cells:
+        for dim, label in enumerate(labels):
+            seen[dim].setdefault(label)
+    return tuple(tuple(d) for d in seen)
+
+
+def from_counts_reference(arity, counts):
+    kept = {labels: count for labels, count in counts.items() if count != 0}
+    return list(kept.items()), _alphabets_of(arity, kept), sum(kept.values())
+
+
+def marginal_reference(table, dims):
+    out = {}
+    for labels, count in table.counts.items():
+        key = tuple(labels[d] for d in dims)
+        out[key] = out.get(key, 0) + count
+    return list(out.items()), tuple(table.alphabets[d] for d in dims), table.total
+
+
+def merge_reference(a, b):
+    counts = dict(a.counts)
+    for labels, count in b.counts.items():
+        counts[labels] = counts.get(labels, 0) + count
+    alphabets = tuple(tuple(dict.fromkeys(pa + pb)) for pa, pb in zip(a.alphabets, b.alphabets))
+    return list(counts.items()), alphabets, a.total + b.total
+
+
+def partition_reference(table, group_dim):
+    """[(group label, from_counts_reference of its cells)], groups in first-appearance order."""
+    buckets = {}
+    for labels, count in table.counts.items():
+        buckets.setdefault(labels[group_dim], {})[labels] = count
+    return [(label, from_counts_reference(table.arity, cells)) for label, cells in buckets.items()]
+
+
+def table_parts(table):
+    """A table in the shape the references above return."""
+    return list(table.counts.items()), table.alphabets, table.total
+
+
 # --- data generators ---
 
 def dataset_from_rows(rows, label="synthetic"):

@@ -182,6 +182,27 @@ class TestReport:
         result = runner.invoke(main, ["report", "--input", str(tmp_path / "nope.txt")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "before",
+        [CSV_HEADER, CSV_HEADER + "\nold," + "0," * 27 + "0"],
+        ids=["header-only", "header-and-row"],
+    )
+    def test_row_starts_its_own_line_after_a_missing_newline(
+        self, runner, golden4_path, tmp_path, before
+    ):
+        out = tmp_path / "runs.csv"
+        out.write_text(before, encoding="utf-8")
+        args = ["report", "--input", str(golden4_path), "--output", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.startswith(before + "\n")
+        assert runner.invoke(main, args).exit_code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [len(line.split(",")) for line in lines] == [29] * len(lines)
+        assert lines[-2] == lines[-1] == text.splitlines()[-1]
+
     def test_foreign_header_refuses_append(self, runner, golden4_path, tmp_path):
         out = tmp_path / "runs.csv"
         out.write_text("name,value\nold,1\n", encoding="utf-8")
@@ -445,6 +466,18 @@ class TestIpf:
     def test_four_dimension_subset_on_three_dimension_data(self, runner, golden3_path):
         result = runner.invoke(main, ["ipf", "--input", str(golden3_path), "--subset", "wxz"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_tolerance_must_be_finite(self, runner, golden3_path, tolerance):
+        result = runner.invoke(
+            main, ["ipf", "--input", str(golden3_path), "--subset", "wxy", "--tolerance", tolerance]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        [message] = [line for line in result.stderr.splitlines() if "tolerance" in line]
+        assert message == "Error: tolerance must be positive and finite"
 
 
 def test_exit_codes_are_distinct():

@@ -188,6 +188,22 @@ class TestKrippendorffInteraction:
             krippendorff_interaction(other, result)
 
 
+def test_accepts_a_reordered_twin_and_refuses_one_changed_count():
+    rows = oracles.random_dense_rows(random.Random(43), (3, 2, 2))
+    table = oracles.table_from_rows(rows)
+    fit = ipf_fit(table)
+    assert fit.converged
+    reordered = dict(reversed(list(table.counts.items())))
+    twin = ContingencyTable.from_counts(3, reordered)
+    assert list(twin.counts) != list(table.counts) and twin.alphabets != table.alphabets
+    assert krippendorff_interaction(twin, fit) == fit.interaction_bits
+    for labels in (next(iter(reordered)), next(iter(table.counts))):
+        changed = dict(reordered)
+        changed[labels] += 1
+        with pytest.raises(ValueError, match="was it made from this table"):
+            krippendorff_interaction(ContingencyTable.from_counts(3, changed), fit)
+
+
 # Four-dimension rows, so that projecting onto (0, 1, 2) builds a new table
 # each time; small alphabets leave zero cells inside the cross-product.
 rows4_strategy = st.lists(

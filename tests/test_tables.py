@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from th4.decompose import _partition
 from th4.infocalc import conditional_transmission, full_report
 from th4.ingest import load_table
 from th4.maxent import ipf_fit
@@ -210,6 +211,16 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=message):
             ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 0}, 2, self.ALPHABETS)
 
+    def test_counts_of_another_table_are_checked_and_recoded(self):
+        table = ContingencyTable.from_counts(2, {("a", "b"): 2, ("c", "d"): 1})
+        assert ContingencyTable(2, table.counts, 3, table.alphabets).counts is table.counts
+        with pytest.raises(ValueError, match="^total does not match the stored counts$"):
+            ContingencyTable(2, table.counts, 4, table.alphabets)
+        with pytest.raises(ValueError, match=r"^tuple \('a', 'b'\) does not have 3 labels$"):
+            ContingencyTable(3, table.counts, 3, table.alphabets)
+        other = ContingencyTable(2, table.counts, 3, (("c", "a"), ("d", "b", "e")))
+        assert other.counts == table.counts and other._codes[0].tolist() == [1, 0]
+
     def test_first_offending_cell_is_named(self):
         counts = {("a", "b"): 1, ("a", "d"): 0, ("c",): 1, ("c", "d"): -1}
         with pytest.raises(ValueError, match=r"^stored count for \('a', 'd'\) must be >= 1"):
@@ -242,7 +253,13 @@ def test_alphabets_match_the_label_loop(case):
     assert _alphabets_from(arity, dict.fromkeys(tuples)) == alphabets_by_loop(arity, tuples)
 
 
-# ---- cell codes: seeded by load_table, or computed on first use
+# ---- cell codes: from load_table's columns, or coded from a mapping
+
+
+def decoded_cells(table):
+    """The table's cells and counts, read off its code arrays."""
+    columns = [map(alphabet.__getitem__, codes.tolist()) for alphabet, codes in zip(table.alphabets, table._codes)]
+    return list(zip(zip(*columns), table._cell_counts.tolist()))
 
 
 def tables_both_ways(path, rows):
@@ -263,10 +280,9 @@ coded_rows = st.integers(3, 4).flatmap(
 @given(coded_rows)
 def test_seeded_and_lazy_codes_agree(tmp_path, rows):
     seeded, lazy = tables_both_ways(tmp_path / "cases.txt", rows)
-    assert "_coded" in vars(seeded) and "_coded" not in vars(lazy)
+    assert decoded_cells(seeded) == decoded_cells(lazy)
     before = repr(lazy)
     report, lazy_report = full_report(seeded), full_report(lazy)
-    assert "_coded" in vars(lazy)
     assert report.h == lazy_report.h and report.t == lazy_report.t
     for a, b, given_dim in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
         assert conditional_transmission(seeded, a, b, given_dim) == conditional_transmission(
@@ -281,9 +297,162 @@ def test_seeded_and_lazy_codes_agree(tmp_path, rows):
         )
         assert fit.interaction_bits == lazy_fit.interaction_bits
         assert dict(fit.fitted.items()) == dict(lazy_fit.fitted.items())
-    # The cache is no field: equality, repr and hashing ignore it.
+    # Reading the codes changes neither equality, repr nor hashing.
     assert seeded == lazy
     assert repr(seeded) == repr(lazy) == before
     for table in (seeded, lazy):
         with pytest.raises(TypeError):
             hash(table)
+
+
+# ---- codes-first operations against the dict-based references in oracles
+
+
+count_values = st.one_of(st.integers(0, 9), st.integers(2**62, 2**70))
+
+
+@st.composite
+def count_maps(draw, arity=None):
+    """(arity, label-tuple -> count): zero counts, empty maps and totals past 2**63 included."""
+    arity = arity or draw(st.integers(1, 4))
+    label = st.sampled_from(["", "a", "b", "c", "dd"])
+    return arity, draw(st.dictionaries(st.tuples(*[label] * arity), count_values, max_size=25))
+
+
+@st.composite
+def tables(draw, arity=None):
+    """Tables from the constructor, whose alphabets may be in any order and
+    hold unused labels, or from from_counts, or projected from a wider table."""
+    arity, counts = draw(count_maps(arity))
+    kind = draw(st.sampled_from(["constructor", "from_counts", "projected"]))
+    if kind == "projected":
+        wide = ContingencyTable.from_counts(arity + 1, {k + ("p",): c for k, c in counts.items()})
+        return project(wide, range(arity))
+    if kind == "from_counts":
+        return ContingencyTable.from_counts(arity, counts)
+    kept = {k: c for k, c in counts.items() if c}
+    alphabets = tuple(
+        tuple(draw(st.permutations(list(alphabet) + draw(st.lists(st.just("zz"), max_size=1)))))
+        for alphabet in _alphabets_from(arity, kept)
+    )
+    return ContingencyTable(arity, kept, sum(kept.values()), alphabets)
+
+
+@given(count_maps())
+def test_from_counts_matches_the_dict_reference(case):
+    arity, counts = case
+    table = ContingencyTable.from_counts(arity, counts)
+    assert oracles.table_parts(table) == oracles.from_counts_reference(arity, counts)
+
+
+@given(tables(), st.data())
+def test_project_and_marginal_match_the_dict_reference(table, data):
+    dims = tuple(sorted(data.draw(st.sets(st.integers(0, table.arity - 1), min_size=1))))
+    expected = oracles.marginal_reference(table, dims)
+    assert oracles.table_parts(project(table, dims)) == expected
+    m = marginal(table, dims)
+    assert (list(m.counts.items()), m.total) == (expected[0], expected[2])
+
+
+@given(st.integers(1, 4).flatmap(lambda arity: st.tuples(tables(arity), tables(arity))))
+def test_merge_matches_the_dict_reference(pair):
+    a, b = pair
+    assert oracles.table_parts(merge(a, b)) == oracles.merge_reference(a, b)
+
+
+@given(tables(), st.data())
+def test_partition_matches_the_dict_reference(table, data):
+    group_dim = data.draw(st.integers(0, table.arity - 1))
+    parts = [(label, oracles.table_parts(part)) for label, part in _partition(table, group_dim)]
+    assert parts == oracles.partition_reference(table, group_dim)
+
+
+def test_wide_alphabets_merge_project_and_compare():
+    # 65537**4 > 2**62: merge and == re-densify their four-dimension key.
+    m = 65537
+    counts = {
+        (f"w{t}", f"x{3 * t % m}", f"y{(5 * t + b) % m}", f"z{7 * t % m}"): 1 + (t + b) % 3
+        for t in range(m)
+        for b in (0, 1)
+    }
+    items = list(counts.items())
+    a = ContingencyTable.from_counts(4, counts)
+    assert [len(alphabet) for alphabet in a.alphabets] == [m] * 4
+    b = ContingencyTable.from_counts(4, dict(items[-100:] + [(("w0", "x0", "new", "z0"), 5)]))
+    merged = merge(a, b)
+    assert oracles.table_parts(merged) == oracles.merge_reference(a, b)
+    for dims in ((0, 1, 2), (1, 3)):
+        assert oracles.table_parts(project(merged, dims)) == oracles.marginal_reference(merged, dims)
+    twin = ContingencyTable.from_counts(4, dict(reversed(list(merged.counts.items()))))
+    assert merged.counts == twin.counts
+    changed = dict(twin.counts)
+    changed[items[5][0]] += 1
+    assert merged.counts != ContingencyTable.from_counts(4, changed).counts
+
+
+# ---- the read-only counts view
+
+
+COUNTS = {("a", "p", "u"): 3, ("b", "p", "v"): 1, ("a", "q", "v"): 2**70}
+
+
+def dict_era_repr(arity, counts, alphabets):
+    return (
+        f"ContingencyTable(arity={arity!r}, counts={counts!r}, "
+        f"total={sum(counts.values())!r}, alphabets={alphabets!r})"
+    )
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_counts_view_contract(projected):
+    table = ContingencyTable.from_counts(3, COUNTS)
+    if projected:
+        wide = ContingencyTable.from_counts(4, {k + ("z",): c for k, c in COUNTS.items()})
+        table = project(wide, (0, 1, 2))
+    counts = table.counts
+    assert counts == COUNTS and COUNTS == counts
+    assert list(counts) == list(COUNTS) and list(counts.items()) == list(COUNTS.items())
+    assert len(counts) == 3
+    assert counts[("a", "q", "v")] == 2**70 and type(counts[("b", "p", "v")]) is int
+    for bad in [("a", "p", "v"), ("a", "p"), ("a", "p", "u", "x"), ("x", "p", "u")]:
+        with pytest.raises(KeyError):
+            counts[bad]
+        assert bad not in counts and counts.get(bad) is None
+    with pytest.raises(TypeError):
+        counts[("a", "p", "u")] = 4
+    assert repr(table) == dict_era_repr(3, COUNTS, table.alphabets)
+    with pytest.raises(TypeError):
+        hash(table)
+    reordered = dict(reversed(COUNTS.items()))
+    twin = ContingencyTable.from_counts(3, reordered)
+    assert twin.alphabets != table.alphabets
+    assert twin.counts == counts and counts == reordered
+    assert twin != table  # tables also compare their alphabets
+    assert list(twin.counts) == list(reordered)
+    for other in [
+        {**COUNTS, ("b", "p", "v"): 2},
+        {**COUNTS, ("c", "p", "v"): 1},
+        {k: c for k, c in COUNTS.items() if c != 1},
+    ]:
+        assert counts != other
+        assert counts != ContingencyTable.from_counts(3, other).counts
+    assert counts != ContingencyTable.from_counts(4, {k + ("z",): c for k, c in COUNTS.items()}).counts
+
+
+def test_loaded_counts_view(tmp_path):
+    path = tmp_path / "cases.txt"
+    path.write_text("".join(f"{i},{','.join(k)}\n" for i, k in enumerate([*COUNTS, *COUNTS])))
+    table = load_table(path)
+    assert table.counts == {k: 2 for k in COUNTS} and list(table.counts) == list(COUNTS)
+    assert repr(table) == dict_era_repr(3, {k: 2 for k in COUNTS}, table.alphabets)
+
+
+def test_empty_tables():
+    empty = ContingencyTable.from_counts(3, {})
+    assert empty.counts == {} and len(empty.counts) == 0 and empty.total == 0
+    assert repr(empty) == dict_era_repr(3, {}, ((), (), ()))
+    assert oracles.table_parts(project(empty, (0, 2))) == ([], ((), ()), 0)
+    full = ContingencyTable.from_counts(3, COUNTS)
+    assert oracles.table_parts(merge(empty, full)) == oracles.table_parts(full)
+    assert oracles.table_parts(merge(full, empty)) == oracles.table_parts(full)
+    assert _partition(empty, 1) == []
