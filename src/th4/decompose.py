@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .infocalc import transmission
-from .tables import ContingencyTable, _trimmed, merge, normalize_subset
+from .tables import ContingencyTable, _trimmed, normalize_subset
 
 _TOL = 1e-12
 
@@ -51,15 +51,21 @@ class DecompositionResult:
         )
 
 
-def _assemble(
-    dims: tuple[int, ...],
-    labeled_tables: Sequence[tuple[str, ContingencyTable]],
-    pooled: ContingencyTable,
+def decompose_by_dimension(
+    table: ContingencyTable, group_dim: int, subset: Iterable[int]
 ) -> DecompositionResult:
-    t_pooled = transmission(pooled, dims)
+    """Partition the table's cells by their label on `group_dim`, decompose T over `subset`."""
+    dims = normalize_subset(subset, table.arity)
+    if len(dims) < 2:
+        raise ValueError("the decomposed subset needs at least two dimensions")
+    if not 0 <= group_dim < table.arity:
+        raise ValueError(f"grouping dimension {group_dim} out of range")
+    if group_dim in dims:
+        raise ValueError("the grouping dimension cannot be part of the decomposed subset")
+    t_pooled = transmission(table, dims)
     groups = []
-    for label, table_g in labeled_tables:
-        weight = table_g.total / pooled.total
+    for label, table_g in _partition(table, group_dim):
+        weight = table_g.total / table.total
         t_g = transmission(table_g, dims)
         groups.append(GroupContribution(label, table_g.total, weight, t_g, weight * t_g))
     groups.sort(key=lambda g: g.group_label)
@@ -67,24 +73,6 @@ def _assemble(
     return DecompositionResult(
         subset=dims, groups=tuple(groups), t_pooled=t_pooled, t_between=t_between
     )
-
-
-def _check_decomposable(dims: tuple[int, ...]) -> None:
-    if len(dims) < 2:
-        raise ValueError("the decomposed subset needs at least two dimensions")
-
-
-def decompose_by_dimension(
-    table: ContingencyTable, group_dim: int, subset: Iterable[int]
-) -> DecompositionResult:
-    """Partition the table's cells by their label on `group_dim`, decompose T over `subset`."""
-    dims = normalize_subset(subset, table.arity)
-    _check_decomposable(dims)
-    if not 0 <= group_dim < table.arity:
-        raise ValueError(f"grouping dimension {group_dim} out of range")
-    if group_dim in dims:
-        raise ValueError("the grouping dimension cannot be part of the decomposed subset")
-    return _assemble(dims, _partition(table, group_dim), table)
 
 
 def _partition(table: ContingencyTable, group_dim: int) -> list[tuple[str, ContingencyTable]]:
@@ -100,24 +88,3 @@ def _partition(table: ContingencyTable, group_dim: int) -> list[tuple[str, Conti
         )
         for rows in sorted(parts, key=lambda rows: rows[0])
     ]
-
-
-def decompose_external(
-    groups: Sequence[tuple[str, ContingencyTable]], subset: Iterable[int]
-) -> DecompositionResult:
-    """Decompose T over `subset` for caller-defined groups.
-
-    The pooled table is the merge of all group tables, i.e. the groups
-    concatenated.
-    """
-    if not groups:
-        raise ValueError("need at least one group")
-    arities = {table.arity for _, table in groups}
-    if len(arities) != 1:
-        raise ValueError(f"groups mix arities {sorted(arities)}")
-    dims = normalize_subset(subset, arities.pop())
-    _check_decomposable(dims)
-    pooled = groups[0][1]
-    for _, table_g in groups[1:]:
-        pooled = merge(pooled, table_g)
-    return _assemble(dims, groups, pooled)

@@ -6,9 +6,8 @@ columns: numpy checks every line's comma count on the bytes, each
 label column is turned into integer codes through a dict from raw field
 text to code (so each distinct spelling is cleaned once per file), and
 the cells are counted with numpy on those codes, which the table keeps.
-The table equals build_table(load_dataset(path)), which keeps every
-record as a CaseRecord in a Dataset instead. A file that fails any
-check is handed to that record path, so every error is its error.
+No record is kept. A file that fails any check is read once more, one
+line at a time, to raise the error of its first bad line.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -28,36 +27,16 @@ quote, which must close the field.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptyDatasetError, FormatError
-from .tables import ContingencyTable, _group, _trimmed, build_table
+from .tables import ContingencyTable, _group, _trimmed
 
 MIN_ARITY = 3
 MAX_ARITY = 4
 # Bytes load_table reads at a time, before extending to the next newline.
 _BLOCK = 1 << 16
-
-
-@dataclass(frozen=True, slots=True)
-class CaseRecord:
-    """A single parsed case: opaque id plus 3 or 4 category labels."""
-
-    id: str
-    labels: tuple[str, ...]
-    line_number: int
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """All records of one input, with a uniform number of dimensions."""
-
-    records: tuple[CaseRecord, ...]
-    arity: int
-    source_label: str
 
 
 def _clean_field(raw: str, line_number: int) -> str:
@@ -69,72 +48,45 @@ def _clean_field(raw: str, line_number: int) -> str:
     return field
 
 
-def parse_line(text: str, line_number: int) -> CaseRecord | None:
-    """Parse one physical line; whitespace-only lines yield None."""
-    if not text.strip():
-        return None
-    raw_id, *raw_labels = text.split(",")
-    if not MIN_ARITY <= len(raw_labels) <= MAX_ARITY:
-        raise FormatError(
-            line_number,
-            f"expected 4 or 5 comma-separated fields (id plus 3 or 4 variables), "
-            f"got {len(raw_labels) + 1}",
-        )
-    record_id = _clean_field(raw_id, line_number)
-    labels = tuple(map(str.strip, raw_labels))
-    if '"' in "".join(labels):  # fields without a quote only need the strip
-        labels = tuple(_clean_field(raw, line_number) for raw in raw_labels)
-    return CaseRecord(id=record_id, labels=labels, line_number=line_number)
+def _raise_first_error(path: str | os.PathLike, label: str | None, drop_empty: bool) -> None:
+    """Raise the error of the first bad line of a file load_table refused.
 
-
-def parse_dataset(lines: Iterable[str], source_label: str) -> Dataset:
-    """Parse decoded text lines into a Dataset, skipping blank lines.
-
-    The first record fixes the number of variables; any later record
-    with a different count is a format error.
+    Checks one line at a time, in file order: decode, skip if blank, field
+    count, quotes of the id and then the labels, and the first record's
+    number of variables. Keeps no record.
     """
-    records: list[CaseRecord] = []
-    first: CaseRecord | None = None
-    for line_number, line in enumerate(lines, start=1):
-        record = parse_line(line, line_number)
-        if record is None:
-            continue
-        if first is None:
-            first = record
-        elif len(record.labels) != len(first.labels):
-            raise FormatError(
-                record.line_number,
-                f"record has {len(record.labels)} variables, but line "
-                f"{first.line_number} has {len(first.labels)}",
-            )
-        records.append(record)
-    if first is None:
-        raise EmptyDatasetError(f"no case records in {source_label!r}")
-    return Dataset(records=tuple(records), arity=len(first.labels), source_label=source_label)
-
-
-def _decoded_lines(path: str | os.PathLike) -> Iterator[str]:
-    # Decode per physical line so UTF-8 errors carry a line number.
+    first: tuple[int, int] | None = None  # line number and arity of the first record
+    kept = False  # some record carries no empty label
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
             try:
-                yield raw.decode("utf-8")
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(line_number, f"invalid UTF-8: {exc.reason}") from exc
-
-
-def load_dataset(path: str | os.PathLike, label: str | None = None) -> Dataset:
-    """Read and parse a case-record file (UTF-8)."""
+            if not text.strip():
+                continue
+            raw_id, *raw_labels = text.split(",")
+            if not MIN_ARITY <= len(raw_labels) <= MAX_ARITY:
+                raise FormatError(
+                    line_number,
+                    f"expected 4 or 5 comma-separated fields (id plus 3 or 4 variables), "
+                    f"got {len(raw_labels) + 1}",
+                )
+            _clean_field(raw_id, line_number)
+            labels = [_clean_field(raw, line_number) for raw in raw_labels]
+            if first is None:
+                first = (line_number, len(labels))
+            elif len(labels) != first[1]:
+                raise FormatError(
+                    line_number,
+                    f"record has {len(labels)} variables, but line {first[0]} has {first[1]}",
+                )
+            kept = kept or all(labels)
     source_label = label if label is not None else os.path.basename(os.fspath(path))
-    return parse_dataset(_decoded_lines(path), source_label)
-
-
-def _record_table(
-    path: str | os.PathLike, label: str | None, drop_empty: bool
-) -> ContingencyTable:
-    """build_table(load_dataset(...)), after drop_empty_labels when asked."""
-    dataset = load_dataset(path, label)
-    return build_table(drop_empty_labels(dataset) if drop_empty else dataset)
+    if first is None:
+        raise EmptyDatasetError(f"no case records in {source_label!r}")
+    if drop_empty and not kept:
+        raise EmptyDatasetError(f"all records in {source_label!r} carry empty labels")
 
 
 class _Codes(dict):
@@ -153,7 +105,7 @@ class _Codes(dict):
 def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]] | None:
     """Each label column of the file as int64 codes, and each dimension's
     codes. None when a line fails a check; FormatError for a bad quote.
-    Either way the record path names the error.
+    Either way _raise_first_error names the error.
     """
     columns: list[list[np.ndarray]] = []
     lookups: list[_Codes] = []
@@ -221,16 +173,20 @@ def load_table(
 ) -> ContingencyTable:
     """Read a case-record file (UTF-8) and count its label tuples.
 
-    Equals build_table(load_dataset(path, label)), or with drop_empty
-    build_table(drop_empty_labels(...)), cell order and alphabets
-    included, and raises the same errors; no record is kept.
+    Cells are in first-appearance order, and each alphabet lists its
+    dimension's labels in first-appearance order. With drop_empty,
+    records carrying an empty label are skipped. `label` only names the
+    file in EmptyDatasetError messages (default: the file name). Raises
+    FormatError for the first bad line, EmptyDatasetError for a file
+    with no record or, with drop_empty, none without an empty label.
     """
     try:
         coded = _label_columns(path)
     except FormatError:
         coded = None
     if coded is None:
-        return _record_table(path, label, drop_empty)
+        _raise_first_error(path, label, drop_empty)
+        raise AssertionError(f"{path}: the columnar pass refused a file with no error")
     columns, lookups = coded
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
     if drop_empty:
@@ -238,22 +194,7 @@ def load_table(
             [codes != lookup.labels.get("", -1) for codes, lookup in zip(columns, lookups)]
         )
         if not kept.any():
-            return _record_table(path, label, drop_empty)  # raises: every record dropped
+            _raise_first_error(path, label, drop_empty)  # raises: every record dropped
         if not kept.all():
             return _trimmed(alphabets, *_group(alphabets, [codes[kept] for codes in columns]))
     return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns))
-
-
-def render_line(record: CaseRecord) -> str:
-    """Serialize a record with every field quoted; parse_line inverts this."""
-    return ",".join(f'"{field}"' for field in (record.id, *record.labels))
-
-
-def drop_empty_labels(dataset: Dataset) -> Dataset:
-    """Return a copy without records that carry an empty-string label."""
-    kept = tuple(r for r in dataset.records if all(r.labels))
-    if not kept:
-        raise EmptyDatasetError(
-            f"all records in {dataset.source_label!r} carry empty labels"
-        )
-    return Dataset(records=kept, arity=dataset.arity, source_label=dataset.source_label)

@@ -19,7 +19,6 @@ from math import fsum, inf, log2
 import numpy as np
 
 from .errors import NotConvergedError, TableTooLargeError
-from .infocalc import transmission
 from .tables import ContingencyTable, _label_index
 
 DEFAULT_TOLERANCE = 1e-10
@@ -180,14 +179,3 @@ def krippendorff_interaction(table: ContingencyTable, ipf: IpfResult) -> float:
     if ipf._source_counts != table.counts:
         raise ValueError("the fit's counts differ from the table's; was it made from this table?")
     return ipf.interaction_bits
-
-
-def redundancy_bits(table: ContingencyTable, ipf: IpfResult) -> float:
-    """Experimental: interaction bits minus the signed three-way transmission.
-
-    Splits the balance between uncertainty added by the three-way
-    interaction and the net synergy the signed transmission reports.
-    Interpretation of this derived quantity is still unsettled; treat
-    it as a diagnostic, not an indicator.
-    """
-    return krippendorff_interaction(table, ipf) - transmission(table, (0, 1, 2))

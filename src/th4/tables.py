@@ -14,17 +14,11 @@ built ones.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import EmptyDatasetError
-
-if TYPE_CHECKING:
-    from .ingest import Dataset
 
 
 def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:
@@ -232,35 +226,6 @@ def _trimmed(
         kept_codes.append(recode[column])
         kept_alphabets.append(tuple(map(alphabet.__getitem__, used.tolist())))
     return ContingencyTable._from_codes(tuple(kept_alphabets), tuple(kept_codes), counts)
-
-
-@dataclass(frozen=True)
-class MarginalTable:
-    """Projection of a table onto a subset of its dimensions."""
-
-    subset: tuple[int, ...]
-    counts: Mapping[tuple[str, ...], int]
-    total: int
-
-
-def build_table(dataset: Dataset) -> ContingencyTable:
-    """Count label tuples: one cell per distinct tuple, in record order."""
-    if not dataset.records:
-        raise EmptyDatasetError(f"dataset {dataset.source_label!r} has no records")
-    counts = Counter(record.labels for record in dataset.records)
-    return ContingencyTable(
-        arity=dataset.arity,
-        counts=dict(counts),
-        total=len(dataset.records),
-        alphabets=_alphabets_from(dataset.arity, counts),
-    )
-
-
-def marginal(table: ContingencyTable, subset: Iterable[int]) -> MarginalTable:
-    """Sum counts over the dimensions not in `subset`; total is preserved."""
-    dims = normalize_subset(subset, table.arity)
-    m = project(table, dims)
-    return MarginalTable(subset=dims, counts=m.counts, total=m.total)
 
 
 def merge(a: ContingencyTable, b: ContingencyTable) -> ContingencyTable:

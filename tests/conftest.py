@@ -4,8 +4,8 @@ import pathlib
 
 import pytest
 
-from th4.ingest import load_dataset
-from th4.tables import build_table
+import oracles
+from th4.ingest import load_table
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -22,19 +22,20 @@ def golden3_path():
 
 @pytest.fixture(scope="session")
 def golden4(golden4_path):
-    return load_dataset(golden4_path)
+    """The label rows of golden4.txt, as the reference reader parses them."""
+    return oracles.read_rows(golden4_path)
 
 
 @pytest.fixture(scope="session")
 def golden3(golden3_path):
-    return load_dataset(golden3_path)
+    return oracles.read_rows(golden3_path)
 
 
 @pytest.fixture(scope="session")
-def golden4_table(golden4):
-    return build_table(golden4)
+def golden4_table(golden4_path):
+    return load_table(golden4_path)
 
 
 @pytest.fixture(scope="session")
-def golden3_table(golden3):
-    return build_table(golden3)
+def golden3_table(golden3_path):
+    return load_table(golden3_path)

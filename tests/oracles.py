@@ -7,13 +7,14 @@ machinery, so tests can cross-check the two paths.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from itertools import product
 from math import log2
 
-from th4.ingest import CaseRecord, Dataset
-from th4.tables import build_table
+from th4.errors import EmptyDatasetError, FormatError
+from th4.tables import ContingencyTable
 
 # Display values (2 decimals) for the 4-case worked example shipped in
 # tests/data/golden4.txt, in fixed schema order.
@@ -181,18 +182,68 @@ def table_parts(table):
     return list(table.counts.items()), table.alphabets, table.total
 
 
+# --- the record-level reader load_table replaced ---
+
+def _clean_field(raw, line_number):
+    field = raw.strip()
+    if field.startswith('"'):
+        if len(field) < 2 or not field.endswith('"') or '"' in field[1:-1]:
+            raise FormatError(line_number, f"unbalanced quote in field {field!r}")
+        return field[1:-1]
+    return field
+
+
+def read_rows(path, label=None, drop_empty=False):
+    """A case-record file's label rows in file order, one per record.
+
+    Parses every line into its labels, then drops the rows carrying an
+    empty label when asked. The errors and their text are load_table's.
+    """
+    source_label = label if label is not None else os.path.basename(os.fspath(path))
+    rows, first = [], None
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(line_number, f"invalid UTF-8: {exc.reason}") from exc
+            if not text.strip():
+                continue
+            raw_id, *raw_labels = text.split(",")
+            if not 3 <= len(raw_labels) <= 4:
+                raise FormatError(
+                    line_number,
+                    f"expected 4 or 5 comma-separated fields (id plus 3 or 4 variables), "
+                    f"got {len(raw_labels) + 1}",
+                )
+            _clean_field(raw_id, line_number)
+            labels = tuple(_clean_field(raw, line_number) for raw in raw_labels)
+            if first is None:
+                first = (line_number, len(labels))
+            elif len(labels) != first[1]:
+                raise FormatError(
+                    line_number,
+                    f"record has {len(labels)} variables, but line {first[0]} has {first[1]}",
+                )
+            rows.append(labels)
+    if not rows:
+        raise EmptyDatasetError(f"no case records in {source_label!r}")
+    if drop_empty:
+        rows = [row for row in rows if all(row)]
+        if not rows:
+            raise EmptyDatasetError(f"all records in {source_label!r} carry empty labels")
+    return rows
+
+
+def reference_table(path, label=None, drop_empty=False):
+    """The table of read_rows: cells and alphabets in record order."""
+    return table_from_rows(read_rows(path, label, drop_empty))
+
+
 # --- data generators ---
 
-def dataset_from_rows(rows, label="synthetic"):
-    records = tuple(
-        CaseRecord(id=str(i + 1), labels=tuple(row), line_number=i + 1)
-        for i, row in enumerate(rows)
-    )
-    return Dataset(records=records, arity=len(rows[0]), source_label=label)
-
-
-def table_from_rows(rows, label="synthetic"):
-    return build_table(dataset_from_rows(rows, label))
+def table_from_rows(rows):
+    return ContingencyTable.from_counts(len(rows[0]), Counter(map(tuple, rows)))
 
 
 def random_rows(rng: random.Random, arity, sizes, n):

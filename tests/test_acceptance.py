@@ -24,9 +24,8 @@ from th4.infocalc import (
     full_report,
     transmission,
 )
-from th4.ingest import Dataset
 from th4.maxent import ipf_fit, krippendorff_interaction
-from th4.tables import build_table, merge
+from th4.tables import merge
 
 LISTING_LINE = re.compile(r"^([HT])\(([WXYZ]+)\)\s+(-?\d+\.\d+)$")
 
@@ -129,16 +128,14 @@ def test_c05_duplication_and_permutation_invariance():
 def test_c06_parallel_merge_equivalence():
     rng = random.Random(1006)
     rows = oracles.random_rows_bulk(rng, (12, 9, 7, 5), 1_000_000)
-    dataset = oracles.dataset_from_rows(rows)
 
     started = time.perf_counter()
-    sequential = build_table(dataset)
-    n = len(dataset.records)
+    sequential = oracles.table_from_rows(rows)
+    n = len(rows)
     bounds = [0, n // 4, n // 2, 3 * n // 4, n]
     combined = None
     for lo, hi in zip(bounds, bounds[1:]):
-        shard = Dataset(dataset.records[lo:hi], dataset.arity, f"shard{lo}")
-        part = build_table(shard)
+        part = oracles.table_from_rows(rows[lo:hi])
         combined = part if combined is None else merge(combined, part)
     report_seq = full_report(sequential)
     report_par = full_report(combined)
@@ -192,21 +189,20 @@ def test_c07_ipf_properties():
     _pass(7, "parity=1.0, independence=0, margins<=1e-10, KL vs entropy-difference<=1e-9 on 100 tables")
 
 
-def test_c08_decomposition_reconstruction(golden4):
+def test_c08_decomposition_reconstruction(golden4_table):
     rng = random.Random(1008)
     cases = []
     for _ in range(20):
         arity = rng.choice((3, 4))
         rows = oracles.random_rows(rng, arity, [rng.randint(2, 3)] * arity, rng.randint(4, 80))
-        dataset = oracles.dataset_from_rows(rows)
         group_dim = rng.randrange(arity)
         subset = tuple(d for d in range(arity) if d != group_dim)
-        cases.append((dataset, group_dim, subset))
+        cases.append((oracles.table_from_rows(rows), group_dim, subset))
     for group_dim in range(4):
         subset = tuple(d for d in range(4) if d != group_dim)
-        cases.append((golden4, group_dim, subset))
-    for dataset, group_dim, subset in cases:
-        result = decompose_by_dimension(build_table(dataset), group_dim, subset)
+        cases.append((golden4_table, group_dim, subset))
+    for table, group_dim, subset in cases:
+        result = decompose_by_dimension(table, group_dim, subset)
         reconstructed = result.t_between + fsum(g.contribution for g in result.groups)
         assert abs(reconstructed - result.t_pooled) <= 1e-12
         assert abs(fsum(g.weight for g in result.groups) - 1.0) <= 1e-12

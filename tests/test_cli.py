@@ -172,6 +172,15 @@ class TestReport:
         assert result.exit_code == EXIT_DATA_ERROR
         assert "line 2" in result.stderr
 
+    def test_decode_error_wins_over_a_later_error(self, runner, tmp_path):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"a,1,2,3\nb,\xff,2,3\nc,1,2,3,4\n")
+        result = runner.invoke(main, ["report", "--input", str(data), "--output", str(tmp_path / "o.csv")])
+        assert result.exit_code == EXIT_DATA_ERROR
+        assert "Traceback" not in result.output
+        [message] = result.stderr.splitlines()
+        assert message.startswith(f"error: {data}: line 2: invalid UTF-8")
+
     def test_empty_file_exits_with_data_code(self, runner, tmp_path):
         data = tmp_path / "empty.txt"
         data.write_text("\n\n", encoding="utf-8")

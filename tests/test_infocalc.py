@@ -19,7 +19,7 @@ from th4.infocalc import (
     subset_name,
     transmission,
 )
-from th4.tables import ContingencyTable, marginal
+from th4.tables import ContingencyTable, project
 
 NAMED_SCHEMA = [f"H_{subset_name(s)}" for s in H_SCHEMA] + [
     f"T_{subset_name(s)}" for s in T_SCHEMA
@@ -252,9 +252,9 @@ class TestSubsetHelpers:
 
 
 def dict_marginal_entropy(table, subset):
-    """H from the label-keyed tables.marginal: one fsum term per marginal cell."""
+    """H from the label-keyed projected counts: one fsum term per marginal cell."""
     n = float(table.total)
-    return -fsum(c / n * log2(c / n) for c in marginal(table, subset).counts.values()) + 0.0
+    return -fsum(c / n * log2(c / n) for c in project(table, subset).counts.values()) + 0.0
 
 
 def all_subsets(arity):

@@ -1,132 +1,135 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from th4 import ingest
 from th4.errors import EmptyDatasetError, FormatError
-from th4.ingest import (
-    CaseRecord,
-    drop_empty_labels,
-    load_dataset,
-    load_table,
-    parse_dataset,
-    parse_line,
-    render_line,
-)
-from th4.tables import build_table
+from th4.ingest import load_table
+
+
+@pytest.fixture()
+def load_lines(tmp_path):
+    """load_table on a file of these lines, each ended by a newline."""
+
+    def load(*lines, **kwargs):
+        path = tmp_path / "cases.txt"
+        path.write_bytes(b"".join(line.encode() + b"\n" for line in lines))
+        return load_table(path, **kwargs)
+
+    return load
 
 
 class TestParseLine:
-    def test_quoted_line(self):
-        record = parse_line('"id1", "1", "b", "region1", "2"', 1)
-        assert record == CaseRecord(id="id1", labels=("1", "b", "region1", "2"), line_number=1)
+    def test_quoted_line(self, load_lines):
+        table = load_lines('"id1", "1", "b", "region1", "2"')
+        assert table.counts == {("1", "b", "region1", "2"): 1}
 
-    def test_unquoted_line(self):
-        record = parse_line("459695,1901,5,3", 7)
-        assert record.id == "459695"
-        assert record.labels == ("1901", "5", "3")
-        assert record.line_number == 7
+    def test_unquoted_line(self, load_lines):
+        table = load_lines("459695,1901,5,3")
+        assert table.arity == 3
+        assert table.counts == {("1901", "5", "3"): 1}
 
-    def test_whitespace_only_line_is_skipped(self):
-        assert parse_line("   ", 3) is None
-        assert parse_line("\t\n", 4) is None
-        assert parse_line("", 5) is None
+    def test_whitespace_only_line_is_skipped(self, load_lines):
+        assert load_lines("   ", "\t", "", "a,1,2,3").counts == {("1", "2", "3"): 1}
 
-    def test_too_few_fields(self):
+    def test_too_few_fields(self, load_lines):
         with pytest.raises(FormatError) as exc:
-            parse_line("a,b,c", 12)
+            load_lines(*["a,1,2,3"] * 11, "a,b,c")
         assert exc.value.line_number == 12
         assert "3" in str(exc.value)
 
-    def test_too_many_fields(self):
+    def test_too_many_fields(self, load_lines):
         with pytest.raises(FormatError):
-            parse_line("a,b,c,d,e,f", 1)
+            load_lines("a,b,c,d,e,f")
 
-    def test_unmatched_opening_quote(self):
+    def test_unmatched_opening_quote(self, load_lines):
         with pytest.raises(FormatError) as exc:
-            parse_line('id,"broken,b,c,d', 2)
+            load_lines("a,1,2,3", 'id,"broken,b,c,d')
         assert exc.value.line_number == 2
 
-    def test_quote_followed_by_junk(self):
+    def test_quote_followed_by_junk(self, load_lines):
         with pytest.raises(FormatError):
-            parse_line('id,"a"junk,b,c,d', 1)
+            load_lines('id,"a"junk,b,c,d')
 
-    def test_lone_quote_field(self):
+    def test_lone_quote_field(self, load_lines):
         with pytest.raises(FormatError):
-            parse_line('id,",b,c,d', 1)
+            load_lines('id,",b,c,d')
 
-    def test_empty_labels_are_legal(self):
-        record = parse_line(",,,", 1)
-        assert record.id == ""
-        assert record.labels == ("", "", "")
+    def test_empty_labels_are_legal(self, load_lines):
+        assert load_lines(",,,").counts == {("", "", ""): 1}
 
-    def test_interior_quote_is_just_a_character(self):
-        record = parse_line('id,a"b,c,d', 1)
-        assert record.labels[0] == 'a"b'
+    def test_interior_quote_is_just_a_character(self, load_lines):
+        assert load_lines('id,a"b,c,d').alphabets[0] == ('a"b',)
 
-    def test_mixed_quoting_on_one_line(self):
-        record = parse_line('id, "a" ,b, "c"', 9)
-        assert record.labels == ("a", "b", "c")
+    def test_mixed_quoting_on_one_line(self, load_lines):
+        assert load_lines('id, "a" ,b, "c"').counts == {("a", "b", "c"): 1}
 
 
 class TestParseDataset:
-    def test_four_dimension_file(self, golden4):
-        assert golden4.arity == 4
-        assert len(golden4.records) == 4
+    def test_four_dimension_file(self, golden4_table):
+        assert golden4_table.arity == 4
+        assert golden4_table.total == 4
 
-    def test_three_dimension_file(self, golden3):
-        assert golden3.arity == 3
-        assert len(golden3.records) == 6
-        assert [r.id for r in golden3.records] == [
-            "459695", "459696", "459697", "459698", "459699", "459700",
+    def test_three_dimension_file(self, golden3_table):
+        assert golden3_table.arity == 3
+        assert golden3_table.total == 6
+        assert list(golden3_table.counts.items()) == [
+            (("1901", "5", "3"), 1), (("1901", "5", "5"), 1),
+            (("1901", "11", "1"), 1), (("1901", "11", "2"), 3),
         ]
 
-    def test_mixed_arity_names_both_lines(self):
+    def test_mixed_arity_names_both_lines(self, load_lines):
         with pytest.raises(FormatError) as exc:
-            parse_dataset(["a,1,2,3", "b,1,2,3,4"], "mixed")
+            load_lines("a,1,2,3", "b,1,2,3,4")
         message = str(exc.value)
         assert "line 2" in message and "line 1" in message
 
-    def test_blank_lines_do_not_shift_line_numbers(self):
-        dataset = parse_dataset(["", "a,1,2,3", "   ", "b,4,5,6"], "gappy")
-        assert [r.line_number for r in dataset.records] == [2, 4]
+    def test_blank_lines_do_not_shift_line_numbers(self, load_lines):
+        with pytest.raises(FormatError, match="^line 4: .* but line 2 has 3$"):
+            load_lines("", "a,1,2,3", "   ", "b,4,5,6,7")
 
-    def test_empty_input(self):
+    def test_empty_input(self, load_lines):
         with pytest.raises(EmptyDatasetError):
-            parse_dataset(["", "   "], "blank")
+            load_lines("", "   ")
 
-    def test_order_preserved(self):
-        dataset = parse_dataset(["a,1,2,3", "b,4,5,6", "c,7,8,9"], "ordered")
-        assert [r.id for r in dataset.records] == ["a", "b", "c"]
+    def test_order_preserved(self, load_lines):
+        table = load_lines("a,1,2,3", "b,4,5,6", "c,7,8,9")
+        assert list(table.counts) == [("1", "2", "3"), ("4", "5", "6"), ("7", "8", "9")]
 
-    def test_duplicate_ids_are_fine(self):
-        dataset = parse_dataset(["a,1,2,3", "a,1,2,3"], "dups")
-        assert len(dataset.records) == 2
+    def test_duplicate_ids_are_fine(self, load_lines):
+        assert load_lines("a,1,2,3", "a,1,2,3").counts == {("1", "2", "3"): 2}
 
 
 class TestLoadDataset:
-    def test_default_label_is_file_name(self, golden4_path):
-        assert load_dataset(golden4_path).source_label == "golden4.txt"
+    def test_default_label_is_file_name(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_bytes(b"\n")
+        with pytest.raises(EmptyDatasetError, match="^no case records in 'blank.txt'$"):
+            load_table(path)
 
-    def test_explicit_label(self, golden4_path):
-        assert load_dataset(golden4_path, label="run-1").source_label == "run-1"
+    def test_explicit_label(self, tmp_path):
+        path = tmp_path / "holes.txt"
+        path.write_bytes(b"a,,2,3\n")
+        with pytest.raises(EmptyDatasetError, match="^all records in 'run-1' carry empty labels$"):
+            load_table(path, label="run-1", drop_empty=True)
 
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"a,1,2,3\nb,\xff\xfe,2,3\n")
         with pytest.raises(FormatError) as exc:
-            load_dataset(path)
+            load_table(path)
         assert exc.value.line_number == 2
 
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"a,1,2,3\r\nb,4,5,6\r\n")
-        dataset = load_dataset(path)
-        assert dataset.records[1].labels == ("4", "5", "6")
+        assert list(load_table(path).counts) == [("1", "2", "3"), ("4", "5", "6")]
 
 
 label_text = st.text(
@@ -135,38 +138,35 @@ label_text = st.text(
 )
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(label_text, min_size=4, max_size=5))
-def test_roundtrip_through_render(fields):
-    original = CaseRecord(id=fields[0], labels=tuple(fields[1:]), line_number=1)
-    assert parse_line(render_line(original), 1) == original
+def test_roundtrip_through_render(load_lines, fields):
+    # Every field quoted: each label reads back exactly as written.
+    table = load_lines(",".join(f'"{field}"' for field in fields))
+    assert table.counts == {tuple(fields[1:]): 1}
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(label_text.map(str.strip), min_size=4, max_size=5))
-def test_quoting_is_transparent(fields):
-    bare = ",".join(fields)
-    quoted = ",".join(f'"{f}"' for f in fields)
-    assert parse_line(bare, 1) == parse_line(quoted, 1)
+def test_quoting_is_transparent(load_lines, fields):
+    bare = load_lines(",".join(fields))
+    quoted = load_lines(",".join(f'"{f}"' for f in fields))
+    assert (bare.counts, bare.alphabets) == (quoted.counts, quoted.alphabets)
 
 
-def test_drop_empty_labels():
-    dataset = parse_dataset(["a,1,2,3", "b,,2,3", "c,4,5,6"], "holes")
-    kept = drop_empty_labels(dataset)
-    assert [r.id for r in kept.records] == ["a", "c"]
-    assert kept.arity == 3
+def test_drop_empty_labels(load_lines):
+    table = load_lines("a,1,2,3", "b,,2,3", "c,4,5,6", drop_empty=True)
+    assert table.counts == {("1", "2", "3"): 1, ("4", "5", "6"): 1}
+    assert table.arity == 3
+    assert table.alphabets == (("1", "4"), ("2", "5"), ("3", "6"))
 
 
-def test_drop_empty_labels_exhausting_dataset():
-    dataset = parse_dataset(["a,,2,3"], "holes")
-    with pytest.raises(EmptyDatasetError):
-        drop_empty_labels(dataset)
+def test_drop_empty_labels_exhausting_dataset(load_lines):
+    with pytest.raises(EmptyDatasetError, match="carry empty labels"):
+        load_lines("a,,2,3", drop_empty=True)
 
 
-# ---- load_table against the record-level path it replaces
-
-
-def reference_table(path, label=None, drop_empty=False):
-    dataset = load_dataset(path, label)
-    return build_table(drop_empty_labels(dataset) if drop_empty else dataset)
+# ---- load_table against the record-level reference reader in oracles
 
 
 def outcome(load, *args):
@@ -175,17 +175,19 @@ def outcome(load, *args):
         table = load(*args)
     except (FormatError, EmptyDatasetError) as exc:
         return type(exc), getattr(exc, "line_number", None), str(exc)
-    return table.counts, list(table.counts), table.total, table.arity, table.alphabets
+    return dict(table.counts), list(table.counts), table.total, table.arity, table.alphabets
 
 
 def assert_same_outcome(path, label=None, drop_empty=False):
-    """load_table's outcome is the record path's, and a file the record
-    path accepts never falls back to it."""
-    expected = outcome(reference_table, path, label, drop_empty)
-    with mock.patch.object(ingest, "_record_table", wraps=ingest._record_table) as fallback:
+    """load_table's outcome is the reference reader's, and a file the
+    reference accepts never reaches the error locator."""
+    expected = outcome(oracles.reference_table, path, label, drop_empty)
+    with mock.patch.object(
+        ingest, "_raise_first_error", wraps=ingest._raise_first_error
+    ) as locate:
         assert outcome(load_table, path, label, drop_empty) == expected
     if isinstance(expected[0], dict):
-        assert not fallback.called
+        assert not locate.called
 
 
 LABELS = ("a", "b", "", "c d", "é")
@@ -320,4 +322,30 @@ def test_load_table_on_alphabets_beyond_the_key_limit(tmp_path):
     path.write_text("".join(lines), encoding="utf-8")
     got = outcome(load_table, path)
     assert [len(alphabet) for alphabet in got[-1]] == [m] * 4
-    assert got == outcome(reference_table, path)
+    assert got == outcome(oracles.reference_table, path)
+
+
+@pytest.mark.parametrize("block", [ingest._BLOCK, 1, 16])
+def test_a_decode_error_wins_over_a_later_error(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    path = tmp_path / "cases.txt"
+    path.write_bytes(b"a,1,2,3\nb,\xff,2,3\nc,1,2,3,4\n")
+    with pytest.raises(FormatError, match="^line 2: invalid UTF-8") as exc:
+        load_table(path)
+    assert exc.value.line_number == 2
+
+
+def test_the_error_path_streams(tmp_path):
+    # A bad last line is named without holding the file's records.
+    path = tmp_path / "cases.txt"
+    lines = [f"r{i},w{i % 7},x{i % 11},y{i % 13},z{i % 17}\n" for i in range(10**5)]
+    path.write_text("".join(lines) + "r,1,2\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as exc:
+            load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line_number == 100001
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from th4.errors import NotConvergedError
-from th4.maxent import ipf_fit, krippendorff_interaction, redundancy_bits
+from th4.infocalc import transmission
+from th4.maxent import ipf_fit, krippendorff_interaction
 from th4.tables import ContingencyTable, project
 
 
@@ -259,5 +260,6 @@ def test_fitted_view_and_interaction_reuse(rows):
 def test_redundancy_is_interaction_minus_transmission():
     table = oracles.table_from_rows(oracles.parity_rows(copies=2))
     result = ipf_fit(table)
-    # parity: interaction 1 bit, transmission -1 bit
-    assert redundancy_bits(table, result) == pytest.approx(2.0, abs=1e-6)
+    # parity: interaction 1 bit, transmission -1 bit; the CLI reports their difference
+    redundancy = krippendorff_interaction(table, result) - transmission(table, (0, 1, 2))
+    assert redundancy == pytest.approx(2.0, abs=1e-6)
