@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 usage errors, 3 malformed or empty input
 data or an oversized fit, 4 non-convergence of the iterative fit,
 1 I/O failures (including a results file with a foreign header).
+
+th4 calls no BLAS routine, but numpy's OpenBLAS starts a thread pool
+at import that spins on a second core. So this module sets
+OPENBLAS_NUM_THREADS to 1, unless the caller set it, before it first
+imports numpy. `import th4` loads no numpy, so this holds under both
+`python -m th4.cli` and the `th4` script.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from pathlib import Path
 import click
 
 from . import __version__
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .decompose import DecompositionResult, decompose_by_dimension
 from .errors import InputDataError, TableTooLargeError
 from .infocalc import (
@@ -185,7 +194,7 @@ def _append(path: Path, row: RunRow, precision: int, full_precision: bool) -> No
     try:
         append_row(path, row, precision, full_precision)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
+        click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
     except ValueError as exc:
         click.echo(f"error: {path}: {exc}", err=True)
@@ -368,7 +377,7 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
             with open(output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join([DECOMP_HEADER, *rows]) + "\n")
         except OSError as exc:
-            click.echo(f"error: cannot write {output_path}: {exc}", err=True)
+            click.echo(f"error: cannot write {output_path}: {exc.strerror or exc}", err=True)
             sys.exit(EXIT_IO_ERROR)
 
 

@@ -86,14 +86,19 @@ class _FittedView(Mapping):
         return self._array.size
 
 
-def _interaction_bits(observed: np.ndarray, fitted: np.ndarray) -> float:
-    obs = observed.ravel()
-    fit = fitted.ravel()
-    cells = obs > 0
+def _interaction_bits(table: ContingencyTable, observed: np.ndarray, fitted: np.ndarray) -> float:
+    """sum p log2(p / q) over the table's cells, p observed and q fitted.
+
+    Each term takes the same IEEE operations as a scalar loop would
+    (math.log2, not np.log2), and fsum ignores their order, so the sum
+    does not depend on the cell order.
+    """
+    p = observed[table._codes]
+    q = fitted[table._codes]
     # Every observed cell has positive two-way margins, so the fit
     # cannot have zeroed it; a violation is a bug, not bad data.
-    assert np.all(fit[cells] > 0), "fitted joint lost mass on an observed cell"
-    return fsum(p * log2(p / q) for p, q in zip(obs[cells], fit[cells])) + 0.0
+    assert np.all(q > 0), "fitted joint lost mass on an observed cell"
+    return fsum((p * np.fromiter(map(log2, (p / q).tolist()), float, len(p))).tolist()) + 0.0
 
 
 def ipf_fit(
@@ -159,7 +164,7 @@ def ipf_fit(
         fitted=_FittedView(fitted, alphabets),
         iterations=iterations,
         max_margin_error=error,
-        interaction_bits=_interaction_bits(observed, fitted),
+        interaction_bits=_interaction_bits(table, observed, fitted),
         converged=error <= tolerance,
         _source_counts=table.counts,
     )

@@ -11,7 +11,9 @@ import os
 import random
 from collections import Counter
 from itertools import product
-from math import log2
+from math import fsum, log2
+
+import numpy as np
 
 from th4.errors import EmptyDatasetError, FormatError
 from th4.tables import ContingencyTable
@@ -132,6 +134,16 @@ def ipf_reference(triples, tolerance=1e-12, max_iterations=50000):
         err = error_of(q)
     interaction = sum(pv * log2(pv / q[t]) for t, pv in p.items())
     return q, interaction, err
+
+
+def interaction_bits_dense(observed, fitted):
+    """sum p log2(p / q) over the positive cells of the dense observed
+    array, one numpy scalar at a time: the fit's former summation."""
+    obs = observed.ravel()
+    fit = fitted.ravel()
+    cells = obs > 0
+    assert np.all(fit[cells] > 0), "fitted joint lost mass on an observed cell"
+    return fsum(p * log2(p / q) for p, q in zip(obs[cells], fit[cells])) + 0.0
 
 
 # --- the dict-based table operations the codes-first tables replaced ---

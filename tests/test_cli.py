@@ -489,6 +489,48 @@ class TestIpf:
         assert message == "Error: tolerance must be positive and finite"
 
 
+class TestFailurePaths:
+    """Each exits with its code, one message line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report", "--input", "{g4}", "--output", "{out}"],
+            ["batch", "{g4}", "--output", "{out}"],
+            ["decompose", "--input", "{g4}", "--group-by", "y", "--subset", "wxz", "--output", "{out}"],
+        ],
+        ids=["report", "batch", "decompose"],
+    )
+    def test_write_into_a_missing_directory(self, runner, golden4_path, tmp_path, command):
+        out = tmp_path / "nodir" / "x.csv"
+        args = [a.format(g4=golden4_path, out=out) for a in command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "data,command,message",
+        [
+            ("golden4", ["decompose", "--group-by", "y", "--subset", "w"], "at least two dimensions"),
+            ("golden3", ["decompose", "--group-by", "z", "--subset", "wx"], "grouping dimension 3"),
+            ("golden3", ["decompose", "--group-by", "w", "--subset", "x,z"], "out of range"),
+            ("golden4", ["ipf", "--subset", "wxq"], "unknown dimension 'q'"),
+        ],
+        ids=["one-dimension-subset", "group-by-absent", "subset-absent", "unknown-letter"],
+    )
+    def test_usage_error(self, runner, request, data, command, message):
+        path = request.getfixturevalue(f"{data}_path")
+        result = runner.invoke(main, [command[0], "--input", str(path), *command[1:]])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        [line] = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert message in line
+
+
 def test_exit_codes_are_distinct():
     assert len({0, 2, EXIT_DATA_ERROR, EXIT_NOT_CONVERGED}) == 4
 

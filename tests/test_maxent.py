@@ -4,8 +4,9 @@ import random
 from itertools import product
 from math import log2, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -263,3 +264,24 @@ def test_redundancy_is_interaction_minus_transmission():
     # parity: interaction 1 bit, transmission -1 bit; the CLI reports their difference
     redundancy = krippendorff_interaction(table, result) - transmission(table, (0, 1, 2))
     assert redundancy == pytest.approx(2.0, abs=1e-6)
+
+
+# Counts past 2**62 make some totals reach 2**63, where a table keeps its
+# counts as Python ints in an object array.
+counts3_strategy = st.dictionaries(
+    st.tuples(st.sampled_from("abc"), st.sampled_from("pq"), st.sampled_from("uvwx")),
+    st.one_of(st.integers(1, 9), st.integers(2**62, 2**70)),
+    min_size=1,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts3_strategy)
+@example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3})
+def test_interaction_bits_equal_the_dense_summation(counts):
+    table = ContingencyTable.from_counts(3, counts)
+    fit = ipf_fit(table, max_iterations=50)
+    observed = np.zeros(tuple(len(a) for a in table.alphabets))
+    observed[table._codes] = table._cell_counts
+    observed /= table.total
+    assert fit.interaction_bits == oracles.interaction_bits_dense(observed, fit.fitted._array)
