@@ -1,11 +1,13 @@
 """Command-line front end: report, batch, decompose, and ipf.
 
 Exit codes: 0 success, 2 usage errors, 3 malformed or empty input
-data or an oversized fit, 4 non-convergence of the iterative fit,
-1 I/O failures (including a results file with a foreign header).
+data or a fit whose pair tables would be too large, 4 non-convergence
+of the iterative fit, 1 I/O failures (including a results file with a
+foreign header).
 
-th4 calls no BLAS routine, but numpy's OpenBLAS starts a thread pool
-at import that spins on a second core. So this module sets
+The only BLAS calls th4 makes are the fit's matrix products of pair
+tables, which are small, while numpy's OpenBLAS starts a thread pool at
+import that spins on a second core. So this module sets
 OPENBLAS_NUM_THREADS to 1, unless the caller set it, before it first
 imports numpy. `import th4` loads no numpy, so this holds under both
 `python -m th4.cli` and the `th4` script.
@@ -17,6 +19,7 @@ import glob as globmod
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -97,10 +100,14 @@ def append_row(path: Path, row: RunRow, precision: int, full_precision: bool) ->
     """Append one whole-line row; a fresh (or empty) file gets the header first,
     and a file whose last line lacks its newline gets one before the row.
 
+    A missing file is created holding the header and the row at once, so
+    two runs that start on it together write one header between them.
     Raises ValueError, leaving the file unchanged, when a non-empty
     file's first line is not CSV_HEADER.
     """
     line = row.to_csv(precision, full_precision) + "\n"
+    if _create(path, (CSV_HEADER + "\n" + line).encode("utf-8")):
+        return
     with open(path, "a+b") as fh:
         fh.seek(0)
         first = fh.readline()
@@ -113,6 +120,33 @@ def append_row(path: Path, row: RunRow, precision: int, full_precision: bool) ->
             if fh.read(1) != b"\n":
                 line = "\n" + line
         fh.write(line.encode("utf-8"))
+
+
+def _create(path: Path, data: bytes) -> bool:
+    """Make a missing `path` hold `data`; False if that did not happen.
+
+    `data` goes to a new file beside `path` (O_CREAT | O_EXCL), which is
+    then hard-linked as `path`, and the link fails if `path` exists by
+    then. So no run ever finds `path` empty because another run has
+    created it but not yet written to it. On any failure (`path` exists,
+    no hard links, an unwritable directory) the append path takes over.
+    """
+    if os.path.lexists(path):
+        return False
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return False
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.link(temp, path)
+    except OSError:
+        return False
+    finally:
+        os.unlink(temp)
+    return True
 
 
 def render_listing(label: str, report: EntropyReport, precision: int) -> str:

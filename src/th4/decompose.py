@@ -13,13 +13,13 @@ reduction of uncertainty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, log2
 from typing import Iterable
 
 import numpy as np
 
-from .infocalc import transmission
-from .tables import ContingencyTable, _trimmed, normalize_subset
+from .infocalc import _lattice, _transmission_from_entropies, transmission
+from .tables import ContingencyTable, _mixed_radix_key, normalize_subset
 
 _TOL = 1e-12
 
@@ -63,11 +63,30 @@ def decompose_by_dimension(
     if group_dim in dims:
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
     t_pooled = transmission(table, dims)
+    codes, counts = table._codes, table._cell_counts
+    group, n_groups = codes[group_dim], len(table.alphabets[group_dim])
+    first, totals = _summed([group], [n_groups], counts)
+    n_g = totals.tolist()
+    n_float = [float(n) for n in n_g]
+    # One grouped pass per subset U of `dims`, keyed on (group, U), gives
+    # every group's H(U): group codes lead the key, so each group's
+    # marginal cells are one run of the sorted keys, groups ascending.
+    entropies = {}
+    for u in _lattice(dims):
+        sizes = [n_groups, *(len(table.alphabets[d]) for d in u)]
+        cells, sums = _summed([group, *(codes[d] for d in u)], sizes, counts)
+        runs = np.flatnonzero(np.diff(group[cells], prepend=-1))
+        # Each marginal cell's term c/n_g * log2(c/n_g), as _entropies forms it.
+        p = sums.astype(float) / np.repeat(n_float, np.diff(runs, append=len(sums)))
+        terms = (p * np.fromiter(map(log2, p.tolist()), float, len(p))).tolist()
+        bounds = [*runs.tolist(), len(terms)]
+        entropies[u] = [-fsum(terms[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]
     groups = []
-    for label, table_g in _partition(table, group_dim):
-        weight = table_g.total / table.total
-        t_g = transmission(table_g, dims)
-        groups.append(GroupContribution(label, table_g.total, weight, t_g, weight * t_g))
+    for g, (code, n) in enumerate(zip(group[first].tolist(), n_g)):
+        weight = n / table.total
+        t_g = _transmission_from_entropies(dims, {u: h[g] for u, h in entropies.items()})
+        label = table.alphabets[group_dim][code]
+        groups.append(GroupContribution(label, n, weight, t_g, weight * t_g))
     groups.sort(key=lambda g: g.group_label)
     t_between = t_pooled - fsum(g.contribution for g in groups)
     return DecompositionResult(
@@ -75,16 +94,13 @@ def decompose_by_dimension(
     )
 
 
-def _partition(table: ContingencyTable, group_dim: int) -> list[tuple[str, ContingencyTable]]:
-    """The table's cells split by their label on `group_dim`, cell order kept
-    within each part; parts in first-appearance order of their label."""
-    group = table._codes[group_dim]
-    order = np.argsort(group, kind="stable")
-    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1) if len(order) else []
-    return [
-        (
-            table.alphabets[group_dim][group[rows[0]]],
-            _trimmed(table.alphabets, [c[rows] for c in table._codes], table._cell_counts[rows]),
-        )
-        for rows in sorted(parts, key=lambda rows: rows[0])
-    ]
+def _summed(
+    columns: list[np.ndarray], sizes: list[int], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with equal codes summed, groups in ascending key order: one
+    row index of each group, and its summed `counts`."""
+    key = _mixed_radix_key(columns, sizes)
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return order[starts], np.add.reduceat(counts[order], starts)

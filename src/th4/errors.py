@@ -20,7 +20,7 @@ class EmptyDatasetError(InputDataError):
 
 
 class TableTooLargeError(ValueError):
-    """A dense table would need more cells than the fit allows."""
+    """The fit's three pair tables would need more cells than it allows."""
 
 
 class NotConvergedError(RuntimeError):

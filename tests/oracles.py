@@ -10,13 +10,16 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
+from dataclasses import dataclass
 from itertools import product
-from math import fsum, log2
+from math import fsum, inf, log2
 
 import numpy as np
 
-from th4.errors import EmptyDatasetError, FormatError
-from th4.tables import ContingencyTable
+from th4.decompose import DecompositionResult, GroupContribution
+from th4.errors import EmptyDatasetError, FormatError, TableTooLargeError
+from th4.infocalc import transmission
+from th4.tables import ContingencyTable, _trimmed, normalize_subset
 
 # Display values (2 decimals) for the 4-case worked example shipped in
 # tests/data/golden4.txt, in fixed schema order.
@@ -136,6 +139,70 @@ def ipf_reference(triples, tolerance=1e-12, max_iterations=50000):
     return q, interaction, err
 
 
+@dataclass(frozen=True)
+class DenseFit:
+    fitted: np.ndarray
+    iterations: int
+    max_margin_error: float
+    interaction_bits: float
+    converged: bool
+
+
+def ipf_dense(table, tolerance=1e-10, max_iterations=1000, max_cells=10**7):
+    """The two-way-margin fit on the dense na x nb x nc array: ipf_fit's
+    former body. Same checks, start, scaling order and stopping rule;
+    returns a DenseFit whose `fitted` is the final array."""
+    if table.arity != 3:
+        raise ValueError("the two-way-margin fit is defined for three-dimension tables")
+    if not 0 < tolerance < inf:
+        raise ValueError("tolerance must be positive and finite")
+    if table.total < 1:
+        raise ValueError("cannot fit an empty table")
+    alphabets = table.alphabets
+    dense_cells = len(alphabets[0]) * len(alphabets[1]) * len(alphabets[2])
+    if dense_cells > max_cells:
+        raise TableTooLargeError(f"the fit needs a dense table of {dense_cells} cells")
+    observed = np.zeros(tuple(len(alpha) for alpha in alphabets))
+    observed[table._codes] = table._cell_counts
+    observed /= table.total
+
+    sum_axis = {(0, 1): 2, (0, 2): 1, (1, 2): 0}
+    margins = {pair: observed.sum(axis=axis) for pair, axis in sum_axis.items()}
+    support = (
+        (margins[(0, 1)] > 0)[:, :, None]
+        & (margins[(0, 2)] > 0)[:, None, :]
+        & (margins[(1, 2)] > 0)[None, :, :]
+    )
+    fitted = support / support.sum()
+
+    def margin_error(q):
+        return float(
+            max(np.abs(q.sum(axis=axis) - margins[p]).max() for p, axis in sum_axis.items())
+        )
+
+    iterations = 0
+    error = margin_error(fitted)
+    while error > tolerance and iterations < max_iterations:
+        for pair, axis in sum_axis.items():
+            current = fitted.sum(axis=axis)
+            ratio = np.divide(
+                margins[pair], current, out=np.zeros_like(current), where=current > 0
+            )
+            fitted *= np.expand_dims(ratio, axis)
+        iterations += 1
+        error = margin_error(fitted)
+    return DenseFit(
+        fitted, iterations, error, interaction_bits_dense(observed, fitted), error <= tolerance
+    )
+
+
+def fitted_dense(fit):
+    """The dense array of a factored fit, each cell multiplied in the
+    order ipf_fit uses at a cell: x[a,b] * y[a,c] * z[b,c]."""
+    x, y, z = fit.fitted._factors
+    return x[:, :, None] * y[:, None, :] * z[None, :, :]
+
+
 def interaction_bits_dense(observed, fitted):
     """sum p log2(p / q) over the positive cells of the dense observed
     array, one numpy scalar at a time: the fit's former summation."""
@@ -187,6 +254,36 @@ def partition_reference(table, group_dim):
     for labels, count in table.counts.items():
         buckets.setdefault(labels[group_dim], {})[labels] = count
     return [(label, from_counts_reference(table.arity, cells)) for label, cells in buckets.items()]
+
+
+def partition(table, group_dim):
+    """The table's cells split by their label on `group_dim`, cell order kept
+    within each part; parts in first-appearance order of their label."""
+    group = table._codes[group_dim]
+    order = np.argsort(group, kind="stable")
+    parts = np.split(order, np.flatnonzero(np.diff(group[order])) + 1) if len(order) else []
+    return [
+        (
+            table.alphabets[group_dim][group[rows[0]]],
+            _trimmed(table.alphabets, [c[rows] for c in table._codes], table._cell_counts[rows]),
+        )
+        for rows in sorted(parts, key=lambda rows: rows[0])
+    ]
+
+
+def decompose_per_group(table, group_dim, subset):
+    """decompose_by_dimension by one table and one `transmission` call per
+    group: the library's former per-group path."""
+    dims = normalize_subset(subset, table.arity)
+    t_pooled = transmission(table, dims)
+    groups = []
+    for label, table_g in partition(table, group_dim):
+        weight = table_g.total / table.total
+        t_g = transmission(table_g, dims)
+        groups.append(GroupContribution(label, table_g.total, weight, t_g, weight * t_g))
+    groups.sort(key=lambda g: g.group_label)
+    t_between = t_pooled - fsum(g.contribution for g in groups)
+    return DecompositionResult(dims, tuple(groups), t_pooled, t_between)
 
 
 def table_parts(table):

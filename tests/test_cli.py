@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import tracemalloc
+from math import isqrt
 
 import pytest
 from click.testing import CliRunner
@@ -221,6 +225,34 @@ class TestReport:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
+
+    def test_concurrent_appends_to_a_fresh_file_write_one_header(self, tmp_path):
+        row = cli.RunRow("run", 4, 4, (0.5,) * 26)
+        workers, rounds = 8, 20
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in range(rounds):
+                out = tmp_path / f"runs{n}.csv"
+                barrier = threading.Barrier(workers)
+
+                def append():
+                    barrier.wait(timeout=10)
+                    cli.append_row(out, row, 2, False)
+
+                threads = [threading.Thread(target=append) for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                lines = out.read_text(encoding="utf-8").splitlines()
+                assert lines == [CSV_HEADER] + [row.to_csv(2, False)] * workers
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"runs{n}.csv" for n in range(rounds)
+        )
 
     def test_default_file_names(self, runner, golden4_path):
         with runner.isolated_filesystem():
@@ -457,16 +489,41 @@ class TestIpf:
         assert result.exit_code == EXIT_NOT_CONVERGED
         assert "max margin error" in result.stderr
 
-    def test_oversized_dense_table_is_data_error(self, runner, tmp_path):
-        # k**3 labels' cross product passes the limit with only k records.
-        k = round(MAX_DENSE_CELLS ** (1 / 3)) + 1
+    def test_a_217_label_cube_fits(self, runner, tmp_path):
+        # 217**3 cells passed the former 10**7-cell guard on the dense table;
+        # the pair tables hold 3 * 217**2 cells.
+        k = 217
         data = tmp_path / "wide.txt"
         write_rows(data, [(f"a{i}", f"b{i}", f"c{i}") for i in range(k)])
-        result = runner.invoke(main, ["ipf", "--input", str(data), "--subset", "wxy"])
+        result = runner.invoke(main, ["ipf", "--input", str(data), "--subset", "wxy", "--json"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert doc["converged"] is True and doc["n_cases"] == k
+        assert doc["interaction_bits"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_oversized_pair_tables_are_data_error(self, runner, tmp_path):
+        # k labels per dimension give pair tables of 3 * k**2 cells, just past the limit.
+        k = isqrt(MAX_DENSE_CELLS // 3) + 1
+        assert 3 * k * k > MAX_DENSE_CELLS >= 3 * (k - 1) ** 2
+        data = tmp_path / "wide.txt"
+        write_rows(data, [(f"a{i}", f"b{i}", f"c{i}") for i in range(k)])
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["ipf", "--input", str(data), "--subset", "wxy"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert result.exit_code == EXIT_DATA_ERROR
-        assert "dense table" in result.stderr
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line == (
+            f"error: {data}: the fit needs pair tables of {3 * k * k} cells "
+            f"({k} x {k} x {k} labels), more than {MAX_DENSE_CELLS}"
+        )
+        # Refused before the fit allocates: one k x k float table is 8 * k**2 bytes.
+        assert peak < 8 * k * k / 4
 
     def test_subset_must_have_three_dimensions(self, runner, golden4_path):
         result = runner.invoke(main, ["ipf", "--input", str(golden4_path), "--subset", "wx"])

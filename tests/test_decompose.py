@@ -4,11 +4,13 @@ import random
 from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from th4.decompose import decompose_by_dimension
 from th4.infocalc import transmission
-from th4.tables import ContingencyTable
+from th4.tables import ContingencyTable, _alphabets_from
 
 
 class TestDecomposeByDimension:
@@ -145,3 +147,33 @@ class TestReconstruction:
     def test_pooled_equals_library_transmission(self, golden4_table):
         result = decompose_by_dimension(golden4_table, 2, (0, 1, 3))
         assert result.t_pooled == transmission(golden4_table, (0, 1, 3))
+
+
+@st.composite
+def decompositions(draw):
+    """(table, group dimension, subset): counts past 2**63 included, and
+    alphabets in any order with an unused label."""
+    arity = draw(st.integers(3, 4))
+    label = st.sampled_from(["a", "b", "c", "dd", ""])
+    count = st.one_of(st.integers(1, 9), st.integers(2**62, 2**70))
+    counts = draw(st.dictionaries(st.tuples(*[label] * arity), count, min_size=1, max_size=40))
+    if draw(st.booleans()):
+        table = ContingencyTable.from_counts(arity, counts)
+    else:
+        alphabets = tuple(
+            tuple(draw(st.permutations([*alphabet, "zz"])))
+            for alphabet in _alphabets_from(arity, counts)
+        )
+        table = ContingencyTable(arity, counts, sum(counts.values()), alphabets)
+    group_dim = draw(st.integers(0, arity - 1))
+    others = [d for d in range(arity) if d != group_dim]
+    subset = draw(st.lists(st.sampled_from(others), min_size=2, unique=True))
+    return table, group_dim, subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions())
+def test_grouped_pass_equals_the_per_group_path(case):
+    table, group_dim, subset = case
+    result = decompose_by_dimension(table, group_dim, subset)
+    assert result == oracles.decompose_per_group(table, group_dim, subset)

@@ -284,4 +284,47 @@ def test_interaction_bits_equal_the_dense_summation(counts):
     observed = np.zeros(tuple(len(a) for a in table.alphabets))
     observed[table._codes] = table._cell_counts
     observed /= table.total
-    assert fit.interaction_bits == oracles.interaction_bits_dense(observed, fit.fitted._array)
+    dense = oracles.fitted_dense(fit)
+    assert fit.interaction_bits == oracles.interaction_bits_dense(observed, dense)
+
+
+def outcome(fit_function, table, max_iterations):
+    try:
+        return fit_function(table, max_iterations=max_iterations)
+    except ValueError as exc:
+        return type(exc)
+
+
+# Sparse tables over small alphabets, so that some pair margins are zero
+# and the support is a proper part of the cross-product.
+sparse3_strategy = st.dictionaries(
+    st.tuples(st.sampled_from("abcd"), st.sampled_from("pqr"), st.sampled_from("uvwx")),
+    st.one_of(st.integers(1, 9), st.integers(2**62, 2**70)),
+    min_size=0,
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse3_strategy, st.sampled_from([0, 1, 2, 7, 1000]))
+@example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3}, 1000)
+@example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3}, 0)
+@example({}, 1000)
+@example(
+    {
+        ("w0", "x1", "y1"): 3, ("w1", "x2", "y1"): 2, ("w0", "x0", "y1"): 3, ("w0", "x0", "y0"): 3,
+        ("w1", "x2", "y0"): 4, ("w1", "x0", "y0"): 2, ("w1", "x1", "y1"): 2,
+    },
+    1000,
+)
+def test_factored_fit_matches_the_dense_fit(counts, max_iterations):
+    table = ContingencyTable.from_counts(3, counts)
+    fit = outcome(ipf_fit, table, max_iterations)
+    dense = outcome(oracles.ipf_dense, table, max_iterations)
+    if isinstance(dense, type):
+        assert fit is dense
+        return
+    assert (fit.iterations, fit.converged) == (dense.iterations, dense.converged)
+    assert fit.interaction_bits == pytest.approx(dense.interaction_bits, rel=0, abs=1e-12)
+    assert fit.max_margin_error == pytest.approx(dense.max_margin_error, rel=0, abs=1e-12)
+    assert np.abs(oracles.fitted_dense(fit) - dense.fitted).max() <= 1e-12

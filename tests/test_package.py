@@ -69,6 +69,20 @@ def test_cli_import_starts_no_blas_threads():
     assert child(code) == "1"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_a_fit_after_cli_import_starts_no_blas_threads():
+    # The fit's matrix products are its BLAS calls.
+    code = (
+        "import os, th4.cli\n"
+        "from th4 import ContingencyTable, ipf_fit\n"
+        "counts = {(f'a{i % 40}', f'b{i % 30}', f'c{i % 7}'): 1 + i % 3 for i in range(900)}\n"
+        "fit = ipf_fit(ContingencyTable.from_counts(3, counts))\n"
+        "assert fit.iterations > 0\n"
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    assert child(code) == "1"
+
+
 def test_caller_thread_setting_wins():
     code = "import os, th4.cli, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert child(code, OPENBLAS_NUM_THREADS="2") == "2"

@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from th4.decompose import _partition
 from th4.infocalc import conditional_transmission, full_report
 from th4.ingest import load_table
 from th4.maxent import ipf_fit
@@ -353,7 +352,8 @@ def test_merge_matches_the_dict_reference(pair):
 @given(tables(), st.data())
 def test_partition_matches_the_dict_reference(table, data):
     group_dim = data.draw(st.integers(0, table.arity - 1))
-    parts = [(label, oracles.table_parts(part)) for label, part in _partition(table, group_dim)]
+    parts = oracles.partition(table, group_dim)
+    parts = [(label, oracles.table_parts(part)) for label, part in parts]
     assert parts == oracles.partition_reference(table, group_dim)
 
 
@@ -445,4 +445,4 @@ def test_empty_tables():
     full = ContingencyTable.from_counts(3, COUNTS)
     assert oracles.table_parts(merge(empty, full)) == oracles.table_parts(full)
     assert oracles.table_parts(merge(full, empty)) == oracles.table_parts(full)
-    assert _partition(empty, 1) == []
+    assert oracles.partition(empty, 1) == []
