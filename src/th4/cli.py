@@ -341,7 +341,8 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
     INPUTS are files, directories, or glob patterns; paths that resolve
     to the same file give one row, and the results file is never read
     as an input. Rows are labelled with the file name, so two files
-    with the same name are refused.
+    with the same name are refused. After the last file, one summary
+    line (files, rows appended, files skipped) goes to stderr.
     """
     results = os.path.realpath(output_path)
     files = [p for p in _expand_inputs(inputs) if os.path.realpath(p) != results]
@@ -358,13 +359,19 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
                 err=True,
             )
             sys.exit(EXIT_USAGE)
+    skipped = 0
     for name, path in by_name.items():
         table = _load(path, None, drop_empty, keep_going)
         if table is None:
+            skipped += 1
             continue
         rep = full_report(table)
         _append(output_path, RunRow.from_report(name, rep), precision, full_precision)
         click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
+    appended = len(by_name) - skipped
+    click.echo(
+        f"batch: {len(by_name)} files, {appended} rows appended, {skipped} skipped", err=True
+    )
 
 
 @main.command()

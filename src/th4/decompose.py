@@ -12,14 +12,22 @@ reduction of uncertainty.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import fsum, log2
+from math import fsum
 from typing import Iterable
 
 import numpy as np
 
-from .infocalc import _lattice, _transmission_from_entropies, transmission
-from .tables import ContingencyTable, _mixed_radix_key, normalize_subset
+from .infocalc import (
+    _chain_order,
+    _chains,
+    _lattice,
+    _plugin_entropies,
+    _transmission_from_entropies,
+    transmission,
+)
+from .tables import ContingencyTable, _nested_sums, normalize_subset
 
 _TOL = 1e-12
 
@@ -64,25 +72,29 @@ def decompose_by_dimension(
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
     t_pooled = transmission(table, dims)
     codes, counts = table._codes, table._cell_counts
-    group, n_groups = codes[group_dim], len(table.alphabets[group_dim])
-    first, totals = _summed([group], [n_groups], counts)
-    n_g = totals.tolist()
-    n_float = [float(n) for n in n_g]
-    # One grouped pass per subset U of `dims`, keyed on (group, U), gives
-    # every group's H(U): group codes lead the key, so each group's
-    # marginal cells are one run of the sorted keys, groups ascending.
+    group = codes[group_dim]
+    sizes = [len(alphabet) for alphabet in table.alphabets]
+    # The groups' codes and sizes, ascending by code; each group's rows
+    # start at the same place in every sort whose key the group code leads.
+    present = np.flatnonzero(np.bincount(group, minlength=sizes[group_dim]))
+    [(group_starts, n_g)] = _nested_sums([group], [sizes[group_dim]], counts, [1])
+    n_float = [float(n) for n in n_g.tolist()]
+    # One sort per chain of subsets U of `dims`, keyed on (group, U), gives
+    # every group's marginal counts on each U.
     entropies = {}
-    for u in _lattice(dims):
-        sizes = [n_groups, *(len(table.alphabets[d]) for d in u)]
-        cells, sums = _summed([group, *(codes[d] for d in u)], sizes, counts)
-        runs = np.flatnonzero(np.diff(group[cells], prepend=-1))
-        # Each marginal cell's term c/n_g * log2(c/n_g), as _entropies forms it.
-        p = sums.astype(float) / np.repeat(n_float, np.diff(runs, append=len(sums)))
-        terms = (p * np.fromiter(map(log2, p.tolist()), float, len(p))).tolist()
-        bounds = [*runs.tolist(), len(terms)]
-        entropies[u] = [-fsum(terms[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]
+    for members in _chains(_lattice(dims)):
+        order = [group_dim, *_chain_order(members)]
+        marginals = _nested_sums(
+            [codes[d] for d in order],
+            [sizes[d] for d in order],
+            counts,
+            [1 + len(u) for u in members],
+        )
+        for u, (starts, sums) in zip(members, marginals):
+            owner = np.searchsorted(group_starts, starts, side="right") - 1
+            entropies[u] = _plugin_entropies(*_distinct_pairs(owner, sums), n_float)
     groups = []
-    for g, (code, n) in enumerate(zip(group[first].tolist(), n_g)):
+    for g, (code, n) in enumerate(zip(present.tolist(), n_g.tolist())):
         weight = n / table.total
         t_g = _transmission_from_entropies(dims, {u: h[g] for u, h in entropies.items()})
         label = table.alphabets[group_dim][code]
@@ -94,13 +106,17 @@ def decompose_by_dimension(
     )
 
 
-def _summed(
-    columns: list[np.ndarray], sizes: list[int], counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows with equal codes summed, groups in ascending key order: one
-    row index of each group, and its summed `counts`."""
-    key = _mixed_radix_key(columns, sizes)
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return order[starts], np.add.reduceat(counts[order], starts)
+def _distinct_pairs(
+    owner: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (group, count) pairs of marginal cells, ascending, and how
+    many cells share each; cell i, of count counts[i], is in group owner[i]
+    (ascending)."""
+    bits = int(counts.max()).bit_length()
+    if counts.dtype != object and int(owner[-1]) + 1 << bits <= 2**63:
+        pairs, multiplicity = np.unique(owner << bits | counts, return_counts=True)
+        return pairs >> bits, pairs & ((1 << bits) - 1), multiplicity
+    # Counts past int64 stay Python ints.
+    pairs, multiplicity = zip(*sorted(Counter(zip(owner.tolist(), counts.tolist())).items()))
+    groups, values = zip(*pairs)
+    return np.array(groups), np.array(values, dtype=object), np.array(multiplicity)

@@ -9,20 +9,27 @@ logarithms:
 
 T of two dimensions is the ordinary mutual information and never
 negative; T of three or four dimensions is signed, with negative values
-indicating a net reduction of uncertainty (synergy). Sums use
-math.fsum, so every value is independent of cell iteration order.
+indicating a net reduction of uncertainty (synergy).
+
+The requested subsets are covered by chains of nested subsets (W, WX,
+WXY), one sort of the cells per chain (tables._nested_sums); H of all
+the table's dimensions needs no sort, as its cells are distinct. Each H
+takes the term of each distinct marginal count once, times its
+multiplicity as four floats with that exact sum, and adds them with
+math.fsum, which is correctly rounded: every value equals the sum of
+one term per marginal cell and is independent of cell order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from math import fsum, log2
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import ContingencyTable, _mixed_radix_key, normalize_subset
+from .tables import ContingencyTable, _nested_sums, normalize_subset
 
 DIM_NAMES = "wxyz"
 
@@ -55,34 +62,107 @@ def parse_subset(text: str) -> tuple[int, ...]:
     return tuple(sorted(dims))
 
 
+def _chains(subsets: Iterable[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Cover `subsets` with chains of nested subsets, each listed smallest first.
+
+    Largest subsets first, each one joins the first chain whose smallest
+    member contains it, or starts a chain. The 14 proper subsets of four
+    dimensions take 6 chains, as few as can cover the 6 pairs, no two of
+    which nest.
+    """
+    chains: list[list[tuple[int, ...]]] = []
+    for dims in sorted(dict.fromkeys(subsets), key=len, reverse=True):
+        for members in chains:
+            if set(dims) < set(members[0]):
+                members.insert(0, dims)
+                break
+        else:
+            chains.append([dims])
+    return chains
+
+
+def _chain_order(members: Sequence[tuple[int, ...]]) -> list[int]:
+    """The dimensions of a chain's largest member, ordered so that every
+    member is a prefix."""
+    order: list[int] = []
+    for dims in members:
+        order += [d for d in dims if d not in order]
+    return order
+
+
+_SPLIT = 2.0**27 + 1  # Veltkamp: x = hi + lo, each with at most 26 significant bits
+
+
+def _exact_multiples(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Four floats per element whose exact sum is x * m, for integers
+    0 <= m < 2**52.
+
+    x splits into hi + lo and m into a multiple of 2**26 and a remainder,
+    each part with at most 26 significant bits, so each of the four
+    products is exact.
+    """
+    t = _SPLIT * x
+    hi = t - (t - x)
+    lo = x - hi
+    m_hi = (m >> 26 << 26).astype(float)
+    m_lo = (m & (2**26 - 1)).astype(float)
+    return np.stack((hi * m_hi, hi * m_lo, lo * m_hi, lo * m_lo), axis=-1)
+
+
+def _plugin_entropies(
+    groups: np.ndarray, values: np.ndarray, multiplicity: np.ndarray, totals: Sequence[float]
+) -> list[float]:
+    """Each group's H in bits, from the distinct counts of its marginal
+    cells: values[i] is the count of multiplicity[i] cells of group
+    groups[i] (ascending), and group g has totals[g] cases.
+
+    The term p log2 p, p = c / total, is formed once per distinct (group,
+    count) pair and summed times its multiplicity as four exact floats.
+    math.fsum returns the correctly rounded exact sum, so each H is the
+    one summed with one term per marginal cell, whatever the cell order.
+    """
+    p = (values / np.asarray(totals)[groups]).astype(float, copy=False)
+    terms = p * np.fromiter(map(log2, p.tolist()), float, len(p))
+    pieces = _exact_multiples(terms, multiplicity).ravel().tolist()
+    bounds = (4 * np.searchsorted(groups, np.arange(len(totals) + 1))).tolist()
+    return [-fsum(pieces[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]  # + 0.0: no -0.0
+
+
 def _entropies(
     table: ContingencyTable, subsets: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], float]:
     """H of each (normalized) subset, from the table's integer-coded cells.
 
-    Cells are grouped by an integer mixed-radix key per subset; each H
-    sums one term per marginal cell with math.fsum, which is correctly
-    rounded, so the value depends only on the multiset of marginal
-    counts and never on cell order.
+    The subsets are covered by chains of nested subsets (W, WX, WXY):
+    one packed sort of the cells by the key of a chain's largest member
+    gives every member's marginal counts (tables._nested_sums). H of all
+    the dimensions needs no sort, as the table's cells are distinct.
+    Each H adds the term of each distinct marginal count times its
+    multiplicity as exact floats (_plugin_entropies, one call for all
+    the subsets), so it equals the correctly rounded sum of one term per
+    marginal cell and depends only on the multiset of marginal counts,
+    never on cell order.
     """
     if table.total < 1:
         raise ValueError("entropy of an empty table is undefined")
     codes, counts = table._codes, table._cell_counts
-    n = float(table.total)
-    out = {}
-    for dims in subsets:
-        key = _mixed_radix_key([codes[d] for d in dims], [len(table.alphabets[d]) for d in dims])
-        order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        sums = np.add.reduceat(counts[order], starts)
-        values, multiplicity = np.unique(sums, return_counts=True)
-        terms = (
-            repeat(c / n * log2(c / n), m)
-            for c, m in zip(values.tolist(), multiplicity.tolist())
+    full = tuple(range(table.arity))
+    marginals = {full: counts} if full in subsets else {}
+    for members in _chains(dims for dims in subsets if dims != full):
+        order = _chain_order(members)
+        sums = _nested_sums(
+            [codes[d] for d in order],
+            [len(table.alphabets[d]) for d in order],
+            counts,
+            [len(dims) for dims in members],
         )
-        out[dims] = -fsum(chain.from_iterable(terms)) + 0.0  # normalize -0.0
-    return out
+        marginals.update((dims, cell_sums) for dims, (_, cell_sums) in zip(members, sums))
+    distinct = [np.unique(sums, return_counts=True) for sums in marginals.values()]
+    groups = np.repeat(np.arange(len(distinct)), [len(values) for values, _ in distinct])
+    values, multiplicity = (np.concatenate(parts) for parts in zip(*distinct))
+    totals = [float(table.total)] * len(distinct)
+    h = dict(zip(marginals, _plugin_entropies(groups, values, multiplicity, totals)))
+    return {dims: h[dims] for dims in subsets}
 
 
 def entropy(table: ContingencyTable, subset: Iterable[int]) -> float:

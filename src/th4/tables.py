@@ -6,6 +6,15 @@ one counts array. The label-tuple `counts` mapping is a read-only view
 decoded from those arrays on demand. Marginals, merges and partitions
 group the code arrays with numpy, never cell by cell in Python.
 
+Every grouping of code arrays in th4 is done here, by one sort: each
+row's codes form a mixed-radix int64 key, a payload (the row index, or
+a cell count) is packed into the key's low bits, and np.sort of those
+plain integers puts the rows in key order with their payloads. _group
+uses the row index, so a group's first row is its first appearance;
+_nested_sums uses the count, and reads the groups of every prefix of
+the key off the same sorted keys by integer division. A stable argsort
+stands in only where the packed value cannot fit in 63 bits.
+
 Tables are immutable once built. Parallel ingestion works by building
 one table per record shard and combining with merge(); for any
 partition of the records the merged counts equal the sequentially
@@ -14,6 +23,7 @@ built ones.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -50,12 +60,18 @@ def _label_index(alphabet: Sequence[str]) -> dict[str, int]:
 _KEY_LIMIT = 2**62
 
 
-def _mixed_radix_key(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
-    """One int64 key per row, equal for two rows exactly when all their codes are.
+def _mixed_radix_key(
+    columns: Sequence[np.ndarray], sizes: Sequence[int]
+) -> tuple[np.ndarray, int]:
+    """One int64 key per row, equal for two rows exactly when all their codes
+    are and ordered as the rows' code tuples are; and the key's radix, which
+    every key is below.
 
     columns[i] holds codes in range(sizes[i]). Whenever the radix would
     pass _KEY_LIMIT, the key built so far is replaced by its rank among
-    its distinct values first, so the key never overflows.
+    its distinct values first, so the key never overflows: the ranks are
+    fewer than the rows, and for data that fits in memory the rows times
+    any alphabet's size stay far below 2**62.
     """
     key = np.zeros(len(columns[0]), dtype=np.int64)
     radix = 1
@@ -65,7 +81,38 @@ def _mixed_radix_key(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> np.
             radix = len(uniq)
         key = key * size + codes
         radix *= size
-    return key
+    return key, radix
+
+
+def _sorted_rows(
+    columns: Sequence[np.ndarray], sizes: Sequence[int], payload: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' mixed-radix keys in ascending order, and the rows' `payload`
+    (non-negative integers) in the same order.
+
+    The payload is packed into the low bits of the key and the packed
+    values are sorted with np.sort, with no argsort and no gather, so
+    rows with equal keys come out by ascending payload. Where the packed
+    value cannot fit in 63 bits (the key's radix times the payload's
+    range passes 2**63, or the payload is an object array) a stable
+    argsort orders the rows instead, equal keys in row order.
+    """
+    key, radix = _mixed_radix_key(columns, sizes)
+    if payload.dtype != object:
+        bits = int(payload.max(initial=0)).bit_length()
+        if radix << bits <= 2**63:
+            packed = np.sort(key << bits | payload)
+            return packed >> bits, packed & ((1 << bits) - 1)
+    order = np.argsort(key, kind="stable")
+    return key[order], payload[order]
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted `keys` starts."""
+    change = np.empty(len(keys), dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return change.nonzero()[0]
 
 
 def _group(
@@ -73,16 +120,45 @@ def _group(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Rows with equal codes summed into one cell: each cell's codes, cells in
     first-appearance order, and its summed `counts` (its rows, if None)."""
-    key = _mixed_radix_key(columns, [len(alphabet) for alphabet in alphabets])
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    n = len(columns[0])
+    keys, rows = _sorted_rows(columns, [len(alphabet) for alphabet in alphabets], np.arange(n))
+    starts = _run_starts(keys)
     if counts is None:
-        sums = np.diff(starts, append=len(key))
+        sums = np.diff(starts, append=n)
     else:
-        sums = np.add.reduceat(counts[order], starts)
-    first = order[starts]  # the stable sort puts each group's first row first
-    arrange = np.argsort(first)
-    return tuple(codes[first[arrange]] for codes in columns), sums[arrange]
+        sums = np.add.reduceat(counts[rows], starts)
+    first = rows[starts]  # a group's rows come out ascending: its first row leads
+    by_row = np.empty(n, dtype=sums.dtype)
+    by_row[first] = sums
+    cells = np.sort(first)
+    return tuple(codes[cells] for codes in columns), by_row[cells]
+
+
+def _nested_sums(
+    columns: Sequence[np.ndarray], sizes: Sequence[int], counts: np.ndarray, lengths: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each l in `lengths`, the rows (at least one) grouped by their codes
+    in columns[:l]: where each group starts among the rows sorted by their
+    codes, and its summed `counts`, groups in ascending order of their codes.
+
+    One sort serves every l: rows sorted by the whole key are sorted by
+    each prefix of it, and a prefix's key is the whole key divided by the
+    radix of the columns after it. A key that would be re-densified
+    cannot be divided, so then each l is sorted on its own. The starts
+    agree either way: a group starts after every row whose prefix is
+    smaller, however the rows are ordered beyond the prefix.
+    """
+    columns, sizes = columns[: max(lengths)], sizes[: max(lengths)]
+    if math.prod(sizes) > _KEY_LIMIT and min(lengths) < len(columns):
+        return [_nested_sums(columns, sizes, counts, [l])[0] for l in lengths]
+    keys, payload = _sorted_rows(columns, sizes, counts)
+    running = np.cumsum(payload)
+    out = []
+    for l in lengths:
+        starts = _run_starts(keys // math.prod(sizes[l:]))
+        upto = running[np.concatenate((starts[1:], [len(keys)])) - 1]  # through each group's end
+        out.append((starts, np.concatenate((upto[:1], upto[1:] - upto[:-1]))))
+    return out
 
 
 class _CountsView(Mapping):

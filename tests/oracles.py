@@ -286,6 +286,17 @@ def decompose_per_group(table, group_dim, subset):
     return DecompositionResult(dims, tuple(groups), t_pooled, t_between)
 
 
+def range_table(rng: random.Random, sizes, n):
+    """A table over alphabets of `sizes` labels, given as ranges, whose up to
+    `n` cells use three labels of each: keys too wide for a packed sort."""
+    cells = {}
+    for _ in range(n):
+        cells[tuple(rng.choice((0, 1, size - 1)) for size in sizes)] = rng.randint(1, 3)
+    codes = tuple(np.array(column, dtype=np.int64) for column in zip(*cells))
+    counts = np.array(list(cells.values()), dtype=np.int64)
+    return ContingencyTable._from_codes(tuple(map(range, sizes)), codes, counts)
+
+
 def table_parts(table):
     """A table in the shape the references above return."""
     return list(table.counts.items()), table.alphabets, table.total

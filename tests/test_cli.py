@@ -329,6 +329,26 @@ class TestBatch:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "c.txt"]
 
+    def test_summary_line_counts_files_rows_and_skips(self, runner, tmp_path):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        write_rows(datadir / "a.txt", [("1", "2", "3"), ("1", "2", "4")])
+        (datadir / "b.txt").write_text("broken,line\n", encoding="utf-8")
+        write_rows(datadir / "c.txt", [("1", "2", "3")])
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(datadir), "--output", str(out), "--keep-going"])
+        assert result.exit_code == 0
+        assert result.stdout == "a.txt: 2 cases, 3 dimensions\nc.txt: 1 cases, 3 dimensions\n"
+        warning, summary = result.stderr.splitlines()
+        assert warning.startswith(f"warning: skipping {datadir / 'b.txt'}: ")
+        assert summary == "batch: 3 files, 2 rows appended, 1 skipped"
+        # The results file is what two report runs append.
+        expected = tmp_path / "expected.csv"
+        for name in ("a.txt", "c.txt"):
+            args = ["report", "--input", str(datadir / name), "--output", str(expected)]
+            assert runner.invoke(main, args).exit_code == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_colliding_file_names_are_refused(self, runner, tmp_path):
         paths = []
         for folder in ("a", "b"):

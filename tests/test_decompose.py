@@ -177,3 +177,11 @@ def test_grouped_pass_equals_the_per_group_path(case):
     table, group_dim, subset = case
     result = decompose_by_dimension(table, group_dim, subset)
     assert result == oracles.decompose_per_group(table, group_dim, subset)
+
+
+def test_keys_past_int64_equal_the_per_group_path():
+    # 2**21 * 2**21 * 2**21 passes 2**62: each subset of a chain gets its own sort.
+    table = oracles.range_table(random.Random(11), (3, 2**21, 2**21, 2**21), 60)
+    for group_dim, subset in ((0, (1, 2, 3)), (3, (0, 1, 2)), (1, (2, 3))):
+        result = decompose_by_dimension(table, group_dim, subset)
+        assert result == oracles.decompose_per_group(table, group_dim, subset)

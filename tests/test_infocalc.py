@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, repeat
 from math import fsum, log2
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -12,6 +14,11 @@ import oracles
 from th4.infocalc import (
     H_SCHEMA,
     T_SCHEMA,
+    _chain_order,
+    _chains,
+    _entropies,
+    _exact_multiples,
+    _transmission_from_entropies,
     conditional_transmission,
     entropy,
     full_report,
@@ -178,6 +185,8 @@ class TestFullReport:
         report = full_report(golden4_table)
         assert len(report.h) == 15
         assert len(report.t) == 11
+        # Smallest subsets first, lexicographic within a size.
+        assert list(report.h) == list(H_SCHEMA) and list(report.t) == list(T_SCHEMA)
         assert report.n_cases == 4
 
     def test_entropy_bounds_and_monotonicity(self):
@@ -296,3 +305,69 @@ class TestCodedEntropyExactness:
         assert [len(a) for a in table.alphabets] == [m] * 4
         for subset in all_subsets(4):
             assert entropy(table, subset) == dict_marginal_entropy(table, subset)
+
+
+# ---- chains of nested subsets, and the exact multiples of a term
+
+
+@given(st.integers(1, 4).flatmap(lambda arity: st.lists(st.sampled_from(all_subsets(arity)))))
+def test_chains_cover_the_subsets_with_nested_prefixes(subsets):
+    chains = _chains(subsets)
+    assert sorted(dims for members in chains for dims in members) == sorted(set(subsets))
+    for members in chains:
+        order = _chain_order(members)
+        assert sorted(order) == list(members[-1])
+        assert [len(dims) for dims in members] == sorted({len(dims) for dims in members})
+        assert all(tuple(sorted(order[: len(dims)])) == dims for dims in members)
+
+
+def test_chains_of_the_lattices():
+    # Short of all four dimensions: one chain per pair, none of which nest.
+    assert len(_chains(all_subsets(4)[:-1])) == 6
+    assert len(_chains(all_subsets(3)[:-1])) == 3
+    assert len(_chains(all_subsets(4))) == 6
+
+
+@st.composite
+def subset_requests(draw):
+    """A table, counts past 2**63 included, and a partial request of its subsets."""
+    arity = draw(st.sampled_from((3, 4)))
+    label = st.sampled_from(["", "a", "b", "c", "dd"])
+    count = st.one_of(st.integers(1, 10**6), st.integers(2**62, 2**70))
+    counts = draw(st.dictionaries(st.tuples(*[label] * arity), count, min_size=1, max_size=40))
+    subsets = draw(st.lists(st.sampled_from(all_subsets(arity)), min_size=1, unique=True))
+    return ContingencyTable.from_counts(arity, counts), subsets
+
+
+@given(subset_requests(), st.data())
+def test_partial_subset_requests_match_the_dict_marginals(case, data):
+    table, subsets = case
+    h = {dims: dict_marginal_entropy(table, dims) for dims in all_subsets(table.arity)}
+    assert _entropies(table, subsets) == {dims: h[dims] for dims in subsets}
+    for dims in subsets:
+        assert entropy(table, dims) == h[dims]
+        if len(dims) >= 2:
+            assert transmission(table, dims) == _transmission_from_entropies(dims, h)
+    a, b, c = data.draw(st.permutations(range(table.arity)))[:3]
+    ac, bc, abc = (tuple(sorted(s)) for s in ((a, c), (b, c), (a, b, c)))
+    expected = fsum((h[ac], h[bc], -h[(c,)], -h[abc])) + 0.0
+    assert conditional_transmission(table, a, b, c) == expected
+
+
+terms = st.floats(-0.6, 0.0)
+
+
+@given(st.lists(st.tuples(terms, st.integers(0, 2**40)), min_size=1, max_size=8))
+@example([(-0.5, 2**40), (-0.1, 3), (-0.0, 7), (-(2**-70), 2**40 - 1)])
+def test_exact_multiples_sum_to_the_repeated_terms(pairs):
+    x = np.array([term for term, _ in pairs])
+    m = np.array([times for _, times in pairs], dtype=np.int64)
+    pieces = _exact_multiples(x, m)
+    assert pieces.shape == (len(pairs), 4)
+    # fsum(repeat(x, m)) is x * m correctly rounded, which Fraction gives
+    # without adding up to 2**40 terms.
+    for (term, times), four in zip(pairs, pieces.tolist()):
+        assert fsum(four) == float(Fraction(term) * times)
+        if times <= 1000:
+            assert fsum(four) == fsum(repeat(term, times))
+    assert fsum(pieces.ravel().tolist()) == float(sum(Fraction(t) * times for t, times in pairs))

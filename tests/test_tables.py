@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import accumulate
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from th4.infocalc import conditional_transmission, full_report
 from th4.ingest import load_table
 from th4.maxent import ipf_fit
-from th4.tables import ContingencyTable, _alphabets_from, merge, project
+from th4.tables import ContingencyTable, _alphabets_from, _group, _nested_sums, merge, project
 
 
 class TestBuildTable:
@@ -267,7 +270,9 @@ coded_rows = st.integers(3, 4).flatmap(
 )
 
 
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Its assertions are equalities, not timings: no deadline, so a busy host
+# cannot fail it.
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(coded_rows)
 def test_seeded_and_lazy_codes_agree(tmp_path, rows):
     seeded, lazy = tables_both_ways(tmp_path / "cases.txt", rows)
@@ -378,6 +383,99 @@ def test_wide_alphabets_merge_project_and_compare():
     changed = dict(twin.counts)
     changed[items[5][0]] += 1
     assert merged.counts != ContingencyTable.from_counts(4, changed).counts
+
+
+# ---- the packed sort, and the stable argsort where the packed value cannot fit
+
+
+# Alphabet sizes of code columns: two of 2**31 make a radix of 2**62, which
+# leaves no room for a payload, and three pass it, so the key is re-densified.
+key_sizes = st.sampled_from([1, 3, 2**20, 2**31])
+
+
+@st.composite
+def code_columns(draw, min_rows=0):
+    """(sizes, code columns, counts or None); counts are int64, or Python ints
+    past int64 in an object array."""
+    sizes = draw(st.lists(key_sizes, min_size=1, max_size=4))
+    n = draw(st.integers(min_rows, 40))
+    columns = []
+    for size in sizes:
+        codes = st.sampled_from(sorted({0, min(1, size - 1), size - 1}))
+        columns.append(np.array(draw(st.lists(codes, min_size=n, max_size=n)), dtype=np.int64))
+    kind = draw(st.sampled_from([None, np.int64, object]))
+    if kind is None:
+        return sizes, columns, None
+    values = st.integers(1, 9) if kind is np.int64 else count_values
+    return sizes, columns, np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
+
+
+def rows(*columns):
+    return [np.array(column, dtype=np.int64) for column in columns]
+
+
+def as_tuples(columns):
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def grouped_reference(columns, counts):
+    """Rows with equal codes summed, cells in first-appearance order."""
+    weights = [1] * len(columns[0]) if counts is None else counts.tolist()
+    cells = {}
+    for codes, weight in zip(as_tuples(columns), weights):
+        cells[codes] = cells.get(codes, 0) + weight
+    return list(cells.items())
+
+
+@given(code_columns())
+# A radix of 2**62 leaves 1 bit for the row index of 9 rows: the argsort path.
+@example(([2**31, 2**31], rows([0, 5, 0, 2**31 - 1, 5, 0, 1, 1, 0], [7, 0, 7, 1, 0, 7, 2, 2, 3]), None))
+@example(([3, 2**31], rows([2, 0, 2], [2**31 - 1, 0, 2**31 - 1]), np.array([2**70, 1, 5], dtype=object)))
+def test_group_matches_the_dict_reference(case):
+    sizes, columns, counts = case
+    codes, sums = _group(tuple(map(range, sizes)), columns, counts)
+    assert list(zip(as_tuples(codes), sums.tolist())) == grouped_reference(columns, counts)
+
+
+def test_project_past_the_packed_key_matches_the_dict_reference():
+    table = oracles.range_table(random.Random(7), (2**31, 3, 2**31), 30)
+    # The same cells with counts past int64, kept in an object array.
+    huge = ContingencyTable._from_codes(
+        table.alphabets, table._codes, table._cell_counts.astype(object) * 2**62
+    )
+    assert huge._cell_counts.dtype == object
+    for t in (table, huge):
+        for dims in ((0, 2), (0, 1), (1,)):
+            assert oracles.table_parts(project(t, dims)) == oracles.marginal_reference(t, dims)
+
+
+def nested_reference(columns, counts, length):
+    """Rows grouped by their first `length` codes, groups ascending: the row
+    position each group starts at in that order, and its summed counts."""
+    sums, rows_in = Counter(), Counter()
+    for codes, count in zip(as_tuples(columns[:length]), counts.tolist()):
+        sums[codes] += count
+        rows_in[codes] += 1
+    keys = sorted(sums)
+    return list(accumulate((rows_in[k] for k in keys[:-1]), initial=0)), [sums[k] for k in keys]
+
+
+@given(
+    code_columns(min_rows=1).filter(lambda case: case[2] is not None),
+    st.lists(st.integers(1, 4), min_size=1),
+)
+# A radix past 2**62: the key is re-densified, so each length is sorted on its own.
+@example(
+    ([2**31, 2**31, 3], rows([1, 0, 1, 1], [2**31 - 1, 0, 0, 2**31 - 1], [2, 1, 0, 2]), rows([1, 2, 3, 4])[0]),
+    [1, 3, 2],
+)
+# A radix of 2**62 leaves room for no count above 1: the argsort path.
+@example(([2**31, 2**31], rows([2**31 - 1, 0, 2**31 - 1], [1, 0, 1]), rows([3, 1, 2])[0]), [1, 2])
+def test_nested_sums_match_the_dict_reference(case, lengths):
+    sizes, columns, counts = case
+    lengths = [min(length, len(sizes)) for length in lengths]
+    for length, (starts, sums) in zip(lengths, _nested_sums(columns, sizes, counts, lengths)):
+        assert (starts.tolist(), sums.tolist()) == nested_reference(columns, counts, length)
 
 
 # ---- the read-only counts view
