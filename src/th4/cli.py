@@ -260,12 +260,26 @@ _input_option = click.option(
     type=click.Path(exists=True, dir_okay=False, path_type=Path),
     help="Case-record file to analyze.",
 )
+_output_option = click.option(
+    "--output",
+    "output_path",
+    default="th4.csv",
+    show_default=True,
+    type=click.Path(dir_okay=False, path_type=Path),
+    help="Results file to append to (created with a header if absent).",
+)
 _precision_option = click.option(
     "--precision",
     default=2,
     show_default=True,
     type=click.IntRange(0, 17),
     help="Decimal places for displayed and written values.",
+)
+_full_precision_option = click.option(
+    "--full-precision",
+    "full_precision",
+    is_flag=True,
+    help="Write unrounded values to the output file.",
 )
 _drop_empty_option = click.option(
     "--drop-empty-labels",
@@ -283,14 +297,7 @@ def main():
 
 @main.command()
 @_input_option
-@click.option(
-    "--output",
-    "output_path",
-    default="th4.csv",
-    show_default=True,
-    type=click.Path(dir_okay=False, path_type=Path),
-    help="Results file to append to (created with a header if absent).",
-)
+@_output_option
 @click.option("--label", default=None, help="Row label; defaults to the input file name.")
 @_precision_option
 @click.option(
@@ -299,12 +306,7 @@ def main():
     is_flag=True,
     help="Print the full-precision report as JSON instead of the listing.",
 )
-@click.option(
-    "--full-precision",
-    "full_precision",
-    is_flag=True,
-    help="Write unrounded values to the output file.",
-)
+@_full_precision_option
 @_drop_empty_option
 def report(input_path, output_path, label, precision, as_json, full_precision, drop_empty):
     """Compute all entropies and transmissions of one file; append one row."""
@@ -319,16 +321,9 @@ def report(input_path, output_path, label, precision, as_json, full_precision, d
 
 @main.command()
 @click.argument("inputs", nargs=-1, required=True)
-@click.option(
-    "--output",
-    "output_path",
-    default="th4.csv",
-    show_default=True,
-    type=click.Path(dir_okay=False, path_type=Path),
-    help="Results file to append to (created with a header if absent).",
-)
+@_output_option
 @_precision_option
-@click.option("--full-precision", "full_precision", is_flag=True)
+@_full_precision_option
 @_drop_empty_option
 @click.option(
     "--keep-going",

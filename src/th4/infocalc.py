@@ -11,13 +11,18 @@ T of two dimensions is the ordinary mutual information and never
 negative; T of three or four dimensions is signed, with negative values
 indicating a net reduction of uncertainty (synergy).
 
+Every H is computed by one kernel, _grouped_entropies, for the whole
+table or within each group of its cells by their label on a grouping
+dimension (decompose uses the groups, the rest of th4 the whole table).
 The requested subsets are covered by chains of nested subsets (W, WX,
-WXY), one sort of the cells per chain (tables._nested_sums); H of all
-the table's dimensions needs no sort, as its cells are distinct. Each H
-takes the term of each distinct marginal count once, times its
-multiplicity as four floats with that exact sum, and adds them with
-math.fsum, which is correctly rounded: every value equals the sum of
-one term per marginal cell and is independent of cell order.
+WXY), one sort of the cells per chain (tables._nested_sums), keyed on
+the grouping dimension first; a subset that spans every dimension
+together with the grouping one needs no sort, as the table's cells are
+distinct. Each H takes the term of each distinct (group, marginal
+count) pair once, times its multiplicity as four floats with that
+exact sum, and adds them with math.fsum, which is correctly rounded:
+every value equals the sum of one term per marginal cell and is
+independent of cell order.
 """
 
 from __future__ import annotations
@@ -109,60 +114,91 @@ def _exact_multiples(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.stack((hi * m_hi, hi * m_lo, lo * m_hi, lo * m_lo), axis=-1)
 
 
-def _plugin_entropies(
-    groups: np.ndarray, values: np.ndarray, multiplicity: np.ndarray, totals: Sequence[float]
-) -> list[float]:
-    """Each group's H in bits, from the distinct counts of its marginal
-    cells: values[i] is the count of multiplicity[i] cells of group
-    groups[i] (ascending), and group g has totals[g] cases.
+def _distinct_pairs(
+    owner: np.ndarray | None, counts: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The distinct (owner, count) pairs of marginal cells, ascending, and how
+    many cells share each: cell i, of count counts[i], belongs to owner[i],
+    or every cell to one owner if `owner` is None (returned as None).
 
-    The term p log2 p, p = c / total, is formed once per distinct (group,
-    count) pair and summed times its multiplicity as four exact floats.
-    math.fsum returns the correctly rounded exact sum, so each H is the
-    one summed with one term per marginal cell, whatever the cell order.
+    One owner is a plain np.unique of the counts. Otherwise each owner is
+    packed above its count's bits, in Python ints (an object array) where
+    the packed value or the counts pass int64, and np.unique sorts those.
     """
-    p = (values / np.asarray(totals)[groups]).astype(float, copy=False)
+    if owner is None:
+        return None, *np.unique(counts, return_counts=True)
+    bits = int(counts.max()).bit_length()
+    if counts.dtype == object or int(owner.max()) + 1 << bits > 2**63:
+        owner, counts = owner.astype(object), counts.astype(object)
+    pairs, multiplicity = np.unique(owner << bits | counts, return_counts=True)
+    return (pairs >> bits).astype(np.int64), pairs & ((1 << bits) - 1), multiplicity
+
+
+def _grouped_entropies(
+    table: ContingencyTable, subsets: Sequence[tuple[int, ...]], by: int | None = None
+) -> tuple[list[int], list[int], dict[tuple[int, ...], list[float]]]:
+    """The groups of the table's cells by their code on dimension `by` (one
+    group of all the cells if None): their codes and case counts, ascending
+    by code, and each (normalized) subset's H within every group.
+
+    One packed sort per chain of nested subsets, keyed on `by` first, gives
+    every member's marginal counts in every group, and each marginal cell's
+    group follows from where the groups start. A subset that spans every
+    dimension together with `by` reads the table's (distinct) cells as they
+    are. All the H are summed exactly in one pass, as the module says.
+    """
+    if table.total < 1:
+        raise ValueError("entropy of an empty table is undefined")
+    codes, counts = table._codes, table._cell_counts
+    sizes = [len(alphabet) for alphabet in table.alphabets]
+    every = tuple(range(table.arity))
+    if by is None:
+        lead, present, n = [], [0], [table.total]
+    else:
+        lead = [by]
+        present = np.flatnonzero(np.bincount(codes[by], minlength=sizes[by])).tolist()
+        [(group_starts, n_g)] = _nested_sums([codes[by]], [sizes[by]], counts, [1])
+        n = n_g.tolist()
+    grouped = len(n) > 1
+    # Each subset's marginal cells: their groups (None for one group) and counts.
+    marginals = {}
+    spans = {every, tuple(d for d in every if d != by)}
+    for dims in subsets:
+        if dims in spans:
+            marginals[dims] = (np.searchsorted(present, codes[by]) if grouped else None), counts
+    for members in _chains(dims for dims in subsets if dims not in spans):
+        order = lead + _chain_order(members)
+        sums = _nested_sums(
+            [codes[d] for d in order],
+            [sizes[d] for d in order],
+            counts,
+            [len(lead) + len(dims) for dims in members],
+        )
+        for dims, (starts, cell_sums) in zip(members, sums):
+            owner = np.searchsorted(group_starts, starts, side="right") - 1 if grouped else None
+            marginals[dims] = owner, cell_sums
+    # One pass over every (subset, group) pair, the i-th subset's groups i * len(n) on.
+    owners, values, multiplicity = zip(*(_distinct_pairs(*m) for m in marginals.values()))
+    if grouped:
+        owner = np.concatenate([i * len(n) + o for i, o in enumerate(owners)])
+    else:
+        owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    values, multiplicity = np.concatenate(values), np.concatenate(multiplicity)
+    totals = np.array([float(size) for size in n] * len(marginals))
+    p = (values / totals[owner]).astype(float, copy=False)
     terms = p * np.fromiter(map(log2, p.tolist()), float, len(p))
     pieces = _exact_multiples(terms, multiplicity).ravel().tolist()
-    bounds = (4 * np.searchsorted(groups, np.arange(len(totals) + 1))).tolist()
-    return [-fsum(pieces[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]  # + 0.0: no -0.0
+    bounds = (4 * np.searchsorted(owner, np.arange(len(totals) + 1))).tolist()
+    h = [-fsum(pieces[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]  # + 0.0: no -0.0
+    h = {dims: h[i * len(n) : (i + 1) * len(n)] for i, dims in enumerate(marginals)}
+    return present, n, {dims: h[dims] for dims in subsets}
 
 
 def _entropies(
     table: ContingencyTable, subsets: Sequence[tuple[int, ...]]
 ) -> dict[tuple[int, ...], float]:
-    """H of each (normalized) subset, from the table's integer-coded cells.
-
-    The subsets are covered by chains of nested subsets (W, WX, WXY):
-    one packed sort of the cells by the key of a chain's largest member
-    gives every member's marginal counts (tables._nested_sums). H of all
-    the dimensions needs no sort, as the table's cells are distinct.
-    Each H adds the term of each distinct marginal count times its
-    multiplicity as exact floats (_plugin_entropies, one call for all
-    the subsets), so it equals the correctly rounded sum of one term per
-    marginal cell and depends only on the multiset of marginal counts,
-    never on cell order.
-    """
-    if table.total < 1:
-        raise ValueError("entropy of an empty table is undefined")
-    codes, counts = table._codes, table._cell_counts
-    full = tuple(range(table.arity))
-    marginals = {full: counts} if full in subsets else {}
-    for members in _chains(dims for dims in subsets if dims != full):
-        order = _chain_order(members)
-        sums = _nested_sums(
-            [codes[d] for d in order],
-            [len(table.alphabets[d]) for d in order],
-            counts,
-            [len(dims) for dims in members],
-        )
-        marginals.update((dims, cell_sums) for dims, (_, cell_sums) in zip(members, sums))
-    distinct = [np.unique(sums, return_counts=True) for sums in marginals.values()]
-    groups = np.repeat(np.arange(len(distinct)), [len(values) for values, _ in distinct])
-    values, multiplicity = (np.concatenate(parts) for parts in zip(*distinct))
-    totals = [float(table.total)] * len(distinct)
-    h = dict(zip(marginals, _plugin_entropies(groups, values, multiplicity, totals)))
-    return {dims: h[dims] for dims in subsets}
+    """H of each (normalized) subset over the whole table."""
+    return {dims: h for dims, [h] in _grouped_entropies(table, subsets)[2].items()}
 
 
 def entropy(table: ContingencyTable, subset: Iterable[int]) -> float:

@@ -616,3 +616,14 @@ def test_version_runs(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "th4" in result.output
+
+
+def test_report_and_batch_document_their_shared_options_alike(runner):
+    helps = [runner.invoke(main, [command, "--help"]).output for command in ("report", "batch")]
+    for option in ("--output", "--full-precision"):
+        lines = [
+            next(line for line in h.splitlines() if line.lstrip().startswith(option))
+            for h in helps
+        ]
+        assert lines[0] == lines[1]
+        assert len(lines[0].split()) > 2, f"{option} has no help text"

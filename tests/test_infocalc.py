@@ -18,6 +18,7 @@ from th4.infocalc import (
     _chains,
     _entropies,
     _exact_multiples,
+    _grouped_entropies,
     _transmission_from_entropies,
     conditional_transmission,
     entropy,
@@ -330,28 +331,65 @@ def test_chains_of_the_lattices():
 
 @st.composite
 def subset_requests(draw):
-    """A table, counts past 2**63 included, and a partial request of its subsets."""
+    """A table, counts past 2**63 included, a partial request of its subsets,
+    a grouping dimension (or None) and three distinct dimensions."""
     arity = draw(st.sampled_from((3, 4)))
     label = st.sampled_from(["", "a", "b", "c", "dd"])
     count = st.one_of(st.integers(1, 10**6), st.integers(2**62, 2**70))
     counts = draw(st.dictionaries(st.tuples(*[label] * arity), count, min_size=1, max_size=40))
     subsets = draw(st.lists(st.sampled_from(all_subsets(arity)), min_size=1, unique=True))
-    return ContingencyTable.from_counts(arity, counts), subsets
+    by = draw(st.one_of(st.none(), st.integers(0, arity - 1)))
+    abc = draw(st.permutations(range(arity)))[:3]
+    return ContingencyTable.from_counts(arity, counts), subsets, by, abc
 
 
-@given(subset_requests(), st.data())
-def test_partial_subset_requests_match_the_dict_marginals(case, data):
-    table, subsets = case
+@given(subset_requests())
+# One label on `by`: the grouped request takes the one-group path.
+@example(
+    (
+        ContingencyTable.from_counts(
+            3, {("a", "b", "c"): 2**70, ("a", "", "c"): 3, ("a", "b", ""): 5}
+        ),
+        [(1, 2), (0,), (0, 1, 2), (2,)],
+        0,
+        (1, 2, 0),
+    )
+)
+# int64 counts whose (group, count) pairs pass int64 once packed.
+@example(
+    (
+        ContingencyTable.from_counts(
+            3, {("a", "b", "c"): 2**62, ("", "b", "c"): 1, ("", "", "c"): 1, ("a", "", "c"): 2}
+        ),
+        [(1,), (1, 2), (0, 2), (0, 1, 2)],
+        0,
+        (0, 1, 2),
+    )
+)
+def test_partial_subset_requests_match_the_dict_marginals(case):
+    table, subsets, by, (a, b, c) = case
     h = {dims: dict_marginal_entropy(table, dims) for dims in all_subsets(table.arity)}
     assert _entropies(table, subsets) == {dims: h[dims] for dims in subsets}
     for dims in subsets:
         assert entropy(table, dims) == h[dims]
         if len(dims) >= 2:
             assert transmission(table, dims) == _transmission_from_entropies(dims, h)
-    a, b, c = data.draw(st.permutations(range(table.arity)))[:3]
     ac, bc, abc = (tuple(sorted(s)) for s in ((a, c), (b, c), (a, b, c)))
     expected = fsum((h[ac], h[bc], -h[(c,)], -h[abc])) + 0.0
     assert conditional_transmission(table, a, b, c) == expected
+    # Within each group of the cells by their label on `by`, H equals the
+    # dict marginal's of that group's own table.
+    codes, n, grouped = _grouped_entropies(table, subsets, by)
+    assert codes == sorted(codes) and list(grouped) == subsets
+    parts = [(None, table)] if by is None else oracles.partition(table, by)
+    labels = [None] * len(codes) if by is None else [table.alphabets[by][i] for i in codes]
+    assert {
+        label: (n_g, {dims: grouped[dims][g] for dims in subsets})
+        for g, (label, n_g) in enumerate(zip(labels, n))
+    } == {
+        label: (part.total, {dims: dict_marginal_entropy(part, dims) for dims in subsets})
+        for label, part in parts
+    }
 
 
 terms = st.floats(-0.6, 0.0)
