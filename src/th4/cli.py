@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -73,39 +72,27 @@ def _csv_field(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class RunRow:
-    """One output row: label, case count, arity, then the 26 schema values."""
-
-    label: str
-    n_cases: int
-    arity: int
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_report(cls, label: str, report: EntropyReport) -> "RunRow":
-        return cls(label, report.n_cases, report.arity, report.schema_values())
-
-    def to_csv(self, precision: int, full_precision: bool) -> str:
-        if full_precision:
-            rendered = [repr(v) for v in self.values]
-        else:
-            rendered = [format_value(v, precision) for v in self.values]
-        return ",".join(
-            [_csv_field(self.label), str(self.n_cases), str(self.arity), *rendered]
-        )
+def _csv_row(label: str, report: EntropyReport, precision: int, full_precision: bool) -> str:
+    """One results row: label, case count, arity, then the 26 schema values."""
+    values = report.schema_values()
+    if full_precision:
+        rendered = [repr(v) for v in values]
+    else:
+        rendered = [format_value(v, precision) for v in values]
+    return ",".join([_csv_field(label), str(report.n_cases), str(report.arity), *rendered])
 
 
-def append_row(path: Path, row: RunRow, precision: int, full_precision: bool) -> None:
-    """Append one whole-line row; a fresh (or empty) file gets the header first,
-    and a file whose last line lacks its newline gets one before the row.
+def append_row(path: Path, row: str) -> None:
+    """Append a rendered row as one whole line; a fresh (or empty) file gets
+    the header first, and a file whose last line lacks its newline gets one
+    before the row.
 
     A missing file is created holding the header and the row at once, so
     two runs that start on it together write one header between them.
     Raises ValueError, leaving the file unchanged, when a non-empty
     file's first line is not CSV_HEADER.
     """
-    line = row.to_csv(precision, full_precision) + "\n"
+    line = row + "\n"
     if _create(path, (CSV_HEADER + "\n" + line).encode("utf-8")):
         return
     with open(path, "a+b") as fh:
@@ -224,9 +211,9 @@ def _load(
         return None
 
 
-def _append(path: Path, row: RunRow, precision: int, full_precision: bool) -> None:
+def _append(path: Path, row: str) -> None:
     try:
-        append_row(path, row, precision, full_precision)
+        append_row(path, row)
     except OSError as exc:
         click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
@@ -312,7 +299,7 @@ def report(input_path, output_path, label, precision, as_json, full_precision, d
     """Compute all entropies and transmissions of one file; append one row."""
     rep = full_report(_load(input_path, label, drop_empty))
     name = label if label is not None else input_path.name
-    _append(output_path, RunRow.from_report(name, rep), precision, full_precision)
+    _append(output_path, _csv_row(name, rep, precision, full_precision))
     if as_json:
         click.echo(report_json(name, rep))
     else:
@@ -361,7 +348,7 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
             skipped += 1
             continue
         rep = full_report(table)
-        _append(output_path, RunRow.from_report(name, rep), precision, full_precision)
+        _append(output_path, _csv_row(name, rep, precision, full_precision))
         click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
     appended = len(by_name) - skipped
     click.echo(
@@ -401,13 +388,6 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     rows = decomposition_rows(result, precision)
-    click.echo(
-        f"T({subset_name(result.subset)}) grouped by {group_by}: "
-        f"{table.arity} dimensions, {len(result.groups)} groups"
-    )
-    click.echo(DECOMP_HEADER)
-    for line in rows:
-        click.echo(line)
     if output_path is not None:
         try:
             with open(output_path, "w", encoding="utf-8", newline="") as fh:
@@ -415,6 +395,13 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
         except OSError as exc:
             click.echo(f"error: cannot write {output_path}: {exc.strerror or exc}", err=True)
             sys.exit(EXIT_IO_ERROR)
+    click.echo(
+        f"T({subset_name(result.subset)}) grouped by {group_by}: "
+        f"{table.arity} dimensions, {len(result.groups)} groups"
+    )
+    click.echo(DECOMP_HEADER)
+    for line in rows:
+        click.echo(line)
 
 
 @main.command()

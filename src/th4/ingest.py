@@ -6,8 +6,9 @@ columns: numpy checks every line's comma count on the bytes, each
 label column is turned into integer codes through a dict from raw field
 text to code (so each distinct spelling is cleaned once per file), and
 the cells are counted with numpy on those codes, which the table keeps.
-No record is kept. A file that fails any check is read once more, one
-line at a time, to raise the error of its first bad line.
+No record is kept and the file is read once: the first block to fail a
+check holds the file's first bad line, and only that block is checked
+again, one line at a time, to raise that line's error.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -26,6 +27,7 @@ quote, which must close the field.
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
@@ -48,45 +50,37 @@ def _clean_field(raw: str, line_number: int) -> str:
     return field
 
 
-def _raise_first_error(path: str | os.PathLike, label: str | None, drop_empty: bool) -> None:
-    """Raise the error of the first bad line of a file load_table refused.
+def _raise_first_error(block: bytes, lines: int, first: tuple[int, int] | None) -> None:
+    """Raise the error of the first bad line of a block load_table refused.
 
-    Checks one line at a time, in file order: decode, skip if blank, field
-    count, quotes of the id and then the labels, and the first record's
-    number of variables. Keeps no record.
+    `lines` counts the lines before it, and `first` is the line number
+    and arity of an earlier block's first record. Checks line by line:
+    decode, skip if blank, field count, id then label quotes, arity.
     """
-    first: tuple[int, int] | None = None  # line number and arity of the first record
-    kept = False  # some record carries no empty label
-    with open(path, "rb") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(line_number, f"invalid UTF-8: {exc.reason}") from exc
-            if not text.strip():
-                continue
-            raw_id, *raw_labels = text.split(",")
-            if not MIN_ARITY <= len(raw_labels) <= MAX_ARITY:
-                raise FormatError(
-                    line_number,
-                    f"expected 4 or 5 comma-separated fields (id plus 3 or 4 variables), "
-                    f"got {len(raw_labels) + 1}",
-                )
-            _clean_field(raw_id, line_number)
-            labels = [_clean_field(raw, line_number) for raw in raw_labels]
-            if first is None:
-                first = (line_number, len(labels))
-            elif len(labels) != first[1]:
-                raise FormatError(
-                    line_number,
-                    f"record has {len(labels)} variables, but line {first[0]} has {first[1]}",
-                )
-            kept = kept or all(labels)
-    source_label = label if label is not None else os.path.basename(os.fspath(path))
-    if first is None:
-        raise EmptyDatasetError(f"no case records in {source_label!r}")
-    if drop_empty and not kept:
-        raise EmptyDatasetError(f"all records in {source_label!r} carry empty labels")
+    for line_number, raw in enumerate(io.BytesIO(block), start=lines + 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(line_number, f"invalid UTF-8: {exc.reason}") from exc
+        if not text.strip():
+            continue
+        raw_id, *raw_labels = text.split(",")
+        if not MIN_ARITY <= len(raw_labels) <= MAX_ARITY:
+            raise FormatError(
+                line_number,
+                f"expected 4 or 5 comma-separated fields (id plus 3 or 4 variables), "
+                f"got {len(raw_labels) + 1}",
+            )
+        _clean_field(raw_id, line_number)
+        labels = [_clean_field(raw, line_number) for raw in raw_labels]
+        if first is None:
+            first = (line_number, len(labels))
+        elif len(labels) != first[1]:
+            raise FormatError(
+                line_number,
+                f"record has {len(labels)} variables, but line {first[0]} has {first[1]}",
+            )
+    raise AssertionError(f"lines {lines + 1}-{line_number} were refused but hold no error")
 
 
 class _Codes(dict):
@@ -102,26 +96,29 @@ class _Codes(dict):
         return code
 
 
-def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]] | None:
+def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]]:
     """Each label column of the file as int64 codes, and each dimension's
-    codes. None when a line fails a check; FormatError for a bad quote.
-    Either way _raise_first_error names the error.
+    codes; both empty for a file with no record. A block in which a line
+    fails a check goes to _raise_first_error, which names the error.
     """
     columns: list[list[np.ndarray]] = []
     lookups: list[_Codes] = []
     width = 0  # commas per record, fixed by the first one
+    lines = 0  # lines read so far
+    first: tuple[int, int] | None = None  # line and arity of the first record, once accepted
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK) + fh.readline():
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
             # Line structure from the bytes: no byte below 0x80 occurs
             # inside a UTF-8 multibyte sequence.
             raw = np.frombuffer(block, dtype=np.uint8)
             ends = np.flatnonzero(raw == ord("\n"))
             if not block.endswith(b"\n"):
                 ends = np.append(ends, len(block))
+            before, lines = lines, lines + len(ends)
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError:
+                break
             starts = np.concatenate(([0], ends[:-1] + 1))
             comma_at = np.flatnonzero(raw == ord(","))
             upto = np.searchsorted(comma_at, ends)
@@ -130,10 +127,10 @@ def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Cod
             if commas.all():
                 records = body.replace("\n", ",")
             else:  # a line without a comma must be blank
-                lines = body.split("\n")
-                if any(lines[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
-                    return None
-                records = ",".join(line for line, n in zip(lines, commas.tolist()) if n)
+                texts = body.split("\n")
+                if any(texts[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
+                    break
+                records = ",".join(line for line, n in zip(texts, commas.tolist()) if n)
                 kept = commas != 0
                 starts, upto, commas = starts[kept], upto[kept], commas[kept]
                 if not commas.size:
@@ -141,31 +138,36 @@ def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Cod
             if not width:
                 width = int(commas[0])
                 if not MIN_ARITY <= width <= MAX_ARITY:
-                    return None
+                    break
                 columns = [[] for _ in range(width)]
                 lookups = [_Codes() for _ in range(width)]
             if (commas != width).any():
-                return None
+                break
             fields = records.split(",")
             quote_at = np.flatnonzero(raw == ord('"'))
-            if quote_at.size:
-                # An id with no quote, or with two as its first and last
-                # byte, passes _clean_field; any other id goes through it.
-                id_end = comma_at[upto - commas]
-                quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
-                plain = (quotes == 0) | (
-                    (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
-                )
-                for i in np.flatnonzero(~plain).tolist():
-                    _clean_field(fields[i * (width + 1)], 0)
-            for d, lookup in enumerate(lookups, start=1):
-                column = fields[d :: width + 1]
-                columns[d - 1].append(
-                    np.fromiter(map(lookup.__getitem__, column), dtype=np.int64, count=len(column))
-                )
-    if not width:
-        return None
-    return [np.concatenate(blocks) for blocks in columns], lookups
+            try:  # _clean_field raises FormatError for a bad quote
+                if quote_at.size:
+                    # An id with no quote, or with two as its first and last
+                    # byte, passes _clean_field; any other id goes through it.
+                    id_end = comma_at[upto - commas]
+                    quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
+                    plain = (quotes == 0) | (
+                        (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
+                    )
+                    for i in np.flatnonzero(~plain).tolist():
+                        _clean_field(fields[i * (width + 1)], 0)
+                for d, lookup in enumerate(lookups, start=1):
+                    column = fields[d :: width + 1]
+                    columns[d - 1].append(
+                        np.fromiter(map(lookup.__getitem__, column), np.int64, len(column))
+                    )
+            except FormatError:
+                break
+            if first is None:
+                first = (before + 1 + int(np.searchsorted(ends, starts[0])), width)
+        else:  # no block was refused
+            return [np.concatenate(blocks) for blocks in columns], lookups
+    _raise_first_error(block, before, first)
 
 
 def load_table(
@@ -180,21 +182,17 @@ def load_table(
     FormatError for the first bad line, EmptyDatasetError for a file
     with no record or, with drop_empty, none without an empty label.
     """
-    try:
-        coded = _label_columns(path)
-    except FormatError:
-        coded = None
-    if coded is None:
-        _raise_first_error(path, label, drop_empty)
-        raise AssertionError(f"{path}: the columnar pass refused a file with no error")
-    columns, lookups = coded
+    columns, lookups = _label_columns(path)
+    source = label if label is not None else os.path.basename(os.fspath(path))
+    if not lookups:
+        raise EmptyDatasetError(f"no case records in {source!r}")
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
     if drop_empty:
         kept = np.logical_and.reduce(
             [codes != lookup.labels.get("", -1) for codes, lookup in zip(columns, lookups)]
         )
         if not kept.any():
-            _raise_first_error(path, label, drop_empty)  # raises: every record dropped
+            raise EmptyDatasetError(f"all records in {source!r} carry empty labels")
         if not kept.all():
             return _trimmed(alphabets, *_group(alphabets, [codes[kept] for codes in columns]))
     return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns))

@@ -24,6 +24,7 @@ built ones.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -248,12 +249,23 @@ class ContingencyTable:
             raise ValueError("total does not match the stored counts")
         if coded:
             return
-        if counts and (set(map(len, counts)) != {self.arity} or min(counts.values()) < 1):
-            for labels, count in counts.items():  # name the first offending cell
-                if len(labels) != self.arity:
-                    raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
-                if count < 1:
-                    raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
+        if self.arity < 1:
+            raise ValueError(f"arity must be >= 1, got {self.arity}")
+        for labels, count in counts.items():  # name the first offending cell
+            if len(labels) != self.arity:
+                raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
+            try:
+                operator.index(count)
+            except TypeError:
+                raise ValueError(
+                    f"stored count for {labels!r} must be an integer, got {count!r}"
+                ) from None
+            if count < 1:
+                raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
+        try:
+            operator.index(self.total)
+        except TypeError:
+            raise ValueError(f"total must be an integer, got {self.total!r}") from None
         columns = list(zip(*counts)) or [()] * self.arity
         codes = tuple(
             np.fromiter(map(_label_index(alphabet).__getitem__, column), np.int64, len(column))

@@ -227,7 +227,7 @@ class TestReport:
         assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
 
     def test_concurrent_appends_to_a_fresh_file_write_one_header(self, tmp_path):
-        row = cli.RunRow("run", 4, 4, (0.5,) * 26)
+        row = "run,4,4," + ",".join(["0.50"] * 26)
         workers, rounds = 8, 20
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -238,7 +238,7 @@ class TestReport:
 
                 def append():
                     barrier.wait(timeout=10)
-                    cli.append_row(out, row, 2, False)
+                    cli.append_row(out, row)
 
                 threads = [threading.Thread(target=append) for _ in range(workers)]
                 for thread in threads:
@@ -247,7 +247,7 @@ class TestReport:
                     thread.join(timeout=10)
                     assert not thread.is_alive()
                 lines = out.read_text(encoding="utf-8").splitlines()
-                assert lines == [CSV_HEADER] + [row.to_csv(2, False)] * workers
+                assert lines == [CSV_HEADER] + [row] * workers
         finally:
             sys.setswitchinterval(switch)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -586,6 +586,7 @@ class TestFailurePaths:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.stderr == f"error: cannot write {out}: No such file or directory\n"
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "data,command,message",

@@ -278,6 +278,9 @@ EXAMPLES = pytest.mark.parametrize(
         pytest.param(b"a,1,2,3\nlonely\n", id="one-field"),
         pytest.param(b"\n \t\n", id="blank-file"),
         pytest.param(b"a,,2,3\nb,1,,3\n", id="only-empty-labels"),
+        pytest.param(b"\n \n\na,1,2,3\nb,1,2\n", id="blank-lines-then-too-few-fields"),
+        pytest.param(b"\n\na,1,2,3\n\nb,1,2,3,4\n", id="blank-lines-then-an-arity-switch"),
+        pytest.param(b"\n \n\na,1,2,3\nb,1,2,3,4\n", id="a-blank-line-in-the-first-record-block"),
     ],
 )
 
@@ -298,6 +301,31 @@ def test_load_table_matches_record_path_on_examples_in_tiny_blocks(
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
     assert_same_outcome(path, None, drop_empty)
+
+
+@pytest.mark.parametrize(
+    "content,drop_empty",
+    [
+        pytest.param(b"a,1,2,3\n" * 8 + b"b,1,2\n", False, id="bad-last-line"),
+        pytest.param(b"", False, id="empty-file"),
+        pytest.param(b"\n \t\n", False, id="blank-file"),
+        pytest.param(b"a,,2,3\nb,1,,3\n", True, id="only-empty-labels"),
+        pytest.param(b"a,1,2,3\nb,4,5,6\n", False, id="good-file"),
+    ],
+)
+def test_load_table_opens_the_file_once(tmp_path, monkeypatch, content, drop_empty):
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, None, drop_empty)
+    assert opened == [path]
 
 
 def test_load_table_checks_the_id_of_a_repeated_tail(tmp_path):

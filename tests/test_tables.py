@@ -205,6 +205,26 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match=message):
             ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 0}, 2, self.ALPHABETS)
 
+    def test_count_must_be_an_integer(self):
+        message = r"^stored count for \('c', 'd'\) must be an integer, got 1\.5$"
+        with pytest.raises(ValueError, match=message):
+            ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 1.5}, 3.5, self.ALPHABETS)
+        with pytest.raises(ValueError, match=r"^stored count for \('a', 'b'\) must be an integer"):
+            ContingencyTable.from_counts(2, {("a", "b"): 1.5})
+
+    def test_total_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"^total must be an integer, got 3\.0$"):
+            ContingencyTable(2, {("a", "b"): 2, ("c", "d"): 1}, 3.0, self.ALPHABETS)
+
+    def test_numpy_integer_counts_are_integers(self):
+        table = ContingencyTable.from_counts(2, {("a", "b"): np.int64(2), ("c", "d"): 1})
+        assert table.total == 3 and table.counts == {("a", "b"): 2, ("c", "d"): 1}
+
+    @pytest.mark.parametrize("arity", [0, -1])
+    def test_arity_must_be_positive(self, arity):
+        with pytest.raises(ValueError, match=f"^arity must be >= 1, got {arity}$"):
+            ContingencyTable.from_counts(arity, {(): 5})
+
     def test_counts_of_another_table_are_checked_and_recoded(self):
         table = ContingencyTable.from_counts(2, {("a", "b"): 2, ("c", "d"): 1})
         assert ContingencyTable(2, table.counts, 3, table.alphabets).counts is table.counts
