@@ -22,6 +22,7 @@ import sys
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -36,6 +37,7 @@ from .infocalc import (
     H_SCHEMA,
     T_SCHEMA,
     EntropyReport,
+    _full_reports,
     full_report,
     parse_subset,
     subset_name,
@@ -55,6 +57,10 @@ SCHEMA_COLUMNS = tuple(f"H_{subset_name(s)}" for s in H_SCHEMA) + tuple(
 )
 CSV_HEADER = "label,n_cases,arity," + ",".join(SCHEMA_COLUMNS)
 DECOMP_HEADER = "group,n,weight,T_group,contribution,reduction"
+
+# batch computes its reports a chunk of files at a time, once the tables
+# it holds reach this many cells; the bound keeps its memory flat.
+_CHUNK_CELLS = 2**13
 
 
 def format_value(value: float, precision: int) -> str:
@@ -193,18 +199,25 @@ def _fail_data(message: str) -> None:
 
 
 def _load(
-    path: str | Path, label: str | None, drop_empty: bool, keep_going: bool = False
+    path: str | Path,
+    label: str | None,
+    drop_empty: bool,
+    keep_going: bool = False,
+    before_failure: Callable[[], None] = lambda: None,
 ) -> ContingencyTable | None:
     """load_table, or exit: 1 for an unreadable file, 3 for bad data.
 
     With keep_going, bad data is a warning and gives None instead.
+    before_failure runs ahead of any such message.
     """
     try:
         return load_table(path, label, drop_empty)
     except OSError as exc:
+        before_failure()
         click.echo(f"error: cannot read {path}: {exc.strerror or exc}", err=True)
         sys.exit(EXIT_IO_ERROR)
     except InputDataError as exc:
+        before_failure()
         if not keep_going:
             _fail_data(f"{path}: {exc}")
         click.echo(f"warning: skipping {path}: {exc}", err=True)
@@ -341,15 +354,24 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
                 err=True,
             )
             sys.exit(EXIT_USAGE)
+    held: list[tuple[str, ContingencyTable]] = []  # loaded, row not yet appended
+
+    def flush() -> None:
+        for (name, _), rep in zip(held, _full_reports([table for _, table in held])):
+            _append(output_path, _csv_row(name, rep, precision, full_precision))
+            click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
+        held.clear()
+
     skipped = 0
     for name, path in by_name.items():
-        table = _load(path, None, drop_empty, keep_going)
+        table = _load(path, None, drop_empty, keep_going, before_failure=flush)
         if table is None:
             skipped += 1
             continue
-        rep = full_report(table)
-        _append(output_path, _csv_row(name, rep, precision, full_precision))
-        click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
+        held.append((name, table))
+        if sum(len(t.counts) for _, t in held) >= _CHUNK_CELLS:
+            flush()
+    flush()
     appended = len(by_name) - skipped
     click.echo(
         f"batch: {len(by_name)} files, {appended} rows appended, {skipped} skipped", err=True

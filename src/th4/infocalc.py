@@ -13,7 +13,9 @@ indicating a net reduction of uncertainty (synergy).
 
 Every H is computed by one kernel, _grouped_entropies, for the whole
 table or within each group of its cells by their label on a grouping
-dimension (decompose uses the groups, the rest of th4 the whole table).
+dimension. decompose groups by a dimension of the data, and batch's
+reports group the cells of several stacked tables by the table they
+come from; the rest of th4 takes the whole table.
 The requested subsets are covered by chains of nested subsets (W, WX,
 WXY), one sort of the cells per chain (tables._nested_sums), keyed on
 the grouping dimension first; a subset that spans every dimension
@@ -160,12 +162,14 @@ def _grouped_entropies(
         [(group_starts, n_g)] = _nested_sums([codes[by]], [sizes[by]], counts, [1])
         n = n_g.tolist()
     grouped = len(n) > 1
-    # Each subset's marginal cells: their groups (None for one group) and counts.
-    marginals = {}
+    # Each subset's marginal cells, reduced as soon as they are built to
+    # their distinct (group, count) pairs (groups None for one group).
+    pairs = {}
     spans = {every, tuple(d for d in every if d != by)}
     for dims in subsets:
         if dims in spans:
-            marginals[dims] = (np.searchsorted(present, codes[by]) if grouped else None), counts
+            owner = np.searchsorted(present, codes[by]) if grouped else None
+            pairs[dims] = _distinct_pairs(owner, counts)
     for members in _chains(dims for dims in subsets if dims not in spans):
         order = lead + _chain_order(members)
         sums = _nested_sums(
@@ -176,21 +180,21 @@ def _grouped_entropies(
         )
         for dims, (starts, cell_sums) in zip(members, sums):
             owner = np.searchsorted(group_starts, starts, side="right") - 1 if grouped else None
-            marginals[dims] = owner, cell_sums
+            pairs[dims] = _distinct_pairs(owner, cell_sums)
     # One pass over every (subset, group) pair, the i-th subset's groups i * len(n) on.
-    owners, values, multiplicity = zip(*(_distinct_pairs(*m) for m in marginals.values()))
+    owners, values, multiplicity = zip(*pairs.values())
     if grouped:
         owner = np.concatenate([i * len(n) + o for i, o in enumerate(owners)])
     else:
         owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
     values, multiplicity = np.concatenate(values), np.concatenate(multiplicity)
-    totals = np.array([float(size) for size in n] * len(marginals))
+    totals = np.array([float(size) for size in n] * len(pairs))
     p = (values / totals[owner]).astype(float, copy=False)
     terms = p * np.fromiter(map(log2, p.tolist()), float, len(p))
     pieces = _exact_multiples(terms, multiplicity).ravel().tolist()
     bounds = (4 * np.searchsorted(owner, np.arange(len(totals) + 1))).tolist()
     h = [-fsum(pieces[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]  # + 0.0: no -0.0
-    h = {dims: h[i * len(n) : (i + 1) * len(n)] for i, dims in enumerate(marginals)}
+    h = {dims: h[i * len(n) : (i + 1) * len(n)] for i, dims in enumerate(pairs)}
     return present, n, {dims: h[dims] for dims in subsets}
 
 
@@ -264,7 +268,45 @@ class EntropyReport:
 
 def full_report(table: ContingencyTable) -> EntropyReport:
     """Compute H for every subset and T for every subset of size >= 2."""
-    dims = tuple(range(table.arity))
-    h = _entropies(table, _lattice(dims))
-    t = {subset: _transmission_from_entropies(subset, h) for subset in _lattice(dims, 2)}
-    return EntropyReport(arity=table.arity, n_cases=table.total, h=h, t=t)
+    return _full_reports([table])[0]
+
+
+def _stacked(tables: Sequence[ContingencyTable]) -> ContingencyTable:
+    """The cells of tables of one arity as one table, with one more
+    dimension holding each cell's table index.
+
+    Every dimension keeps each table's own codes and is as large as the
+    largest of their alphabets. The kernel reads only the codes and the
+    alphabets' sizes, so the stacked labels are the codes themselves.
+    """
+    arity = tables[0].arity
+    sizes = [max(len(t.alphabets[d]) for t in tables) for d in range(arity)] + [len(tables)]
+    codes = [np.concatenate([t._codes[d] for t in tables]) for d in range(arity)]
+    codes.append(np.repeat(np.arange(len(tables)), [len(t.counts) for t in tables]))
+    counts = np.concatenate([t._cell_counts for t in tables])
+    if sum(t.total for t in tables) >= 2**63:  # int64 sums would wrap: exact Python ints
+        counts = counts.astype(object)
+    return ContingencyTable._from_codes(tuple(map(range, sizes)), tuple(codes), counts)
+
+
+def _full_reports(tables: Sequence[ContingencyTable]) -> list[EntropyReport]:
+    """full_report of each table, from one kernel call per arity: a lone
+    table on its own, several stacked and grouped by their table index."""
+    by_arity: dict[int, list[int]] = {}
+    for i, table in enumerate(tables):
+        if table.total < 1:  # a stacked empty table would have no group
+            raise ValueError("entropy of an empty table is undefined")
+        by_arity.setdefault(table.arity, []).append(i)
+    reports: list[EntropyReport] = [None] * len(tables)
+    for arity, members in by_arity.items():
+        dims = tuple(range(arity))
+        if len(members) == 1:
+            stack, by = tables[members[0]], None
+        else:
+            stack, by = _stacked([tables[i] for i in members]), arity
+        _, _, entropies = _grouped_entropies(stack, _lattice(dims), by)
+        for g, i in enumerate(members):
+            h = {u: hs[g] for u, hs in entropies.items()}
+            t = {subset: _transmission_from_entropies(subset, h) for subset in _lattice(dims, 2)}
+            reports[i] = EntropyReport(arity=arity, n_cases=tables[i].total, h=h, t=t)
+    return reports

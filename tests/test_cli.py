@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 import threading
 import tracemalloc
@@ -403,6 +404,102 @@ class TestBatch:
         result = runner.invoke(main, ["batch", str(datadir), "--output", str(out)])
         assert result.exit_code == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 22
+
+    @staticmethod
+    def write_random_files(folder, seed):
+        """Files of 3 or 4 dimensions in random order: clean ones, ones with
+        some empty labels, one whose records all carry an empty label, one
+        with a bad line and one with no records."""
+        rng = random.Random(seed)
+        folder.mkdir()
+        kinds = ["clean"] * 5 + ["some empty"] * 4 + ["all empty", "bad line", "no records"]
+        rng.shuffle(kinds)
+        for i, kind in enumerate(kinds):
+            path = folder / f"f{i:02d}.txt"
+            arity = rng.choice((3, 4))
+            labels = ["a", "b", "c", "d"] + [""] * (kind == "some empty")
+            rows = [
+                tuple(rng.choice(labels) for _ in range(arity))
+                for _ in range(rng.randint(1, 40))
+            ]
+            if kind == "all empty":
+                rows = [("",) + row[1:] for row in rows]
+            if kind == "bad line":
+                rows.insert(len(rows) // 2, ("only",))
+            if kind == "no records":
+                rows = []
+            text = "".join(",".join(("r",) + row) + "\n" for row in rows)
+            path.write_text(text, encoding="utf-8")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("drop_empty", [False, True], ids=["all-labels", "drop-empty"])
+    @pytest.mark.parametrize("keep_going", [False, True], ids=["abort", "keep-going"])
+    def test_chunked_rows_and_messages_are_the_per_file_ones(
+        self, runner, tmp_path, monkeypatch, seed, drop_empty, keep_going
+    ):
+        datadir = tmp_path / "regions"
+        self.write_random_files(datadir, seed)
+        options = ["--full-precision"] + ["--drop-empty-labels"] * drop_empty
+        runs = []
+        for bound in (1, 2**40):  # every file its own chunk; all files one chunk
+            monkeypatch.setattr(cli, "_CHUNK_CELLS", bound)
+            out = tmp_path / f"runs{bound}.csv"
+            args = ["batch", str(datadir), "--output", str(out), *options]
+            result = runner.invoke(main, args + ["--keep-going"] * keep_going)
+            assert isinstance(result.exception, (SystemExit, type(None)))
+            written = out.read_bytes() if out.exists() else None
+            runs.append((written, result.stdout, result.stderr, result.output, result.exit_code))
+        assert runs[0] == runs[1]
+        # The rows and lines are those of one report run per file, up to
+        # the first bad file, or past every bad file with --keep-going.
+        expected, lines, exit_code = tmp_path / "expected.csv", [], 0
+        for path in sorted(datadir.iterdir()):
+            args = ["report", "--input", str(path), "--output", str(expected), *options]
+            result = runner.invoke(main, args)
+            if result.exit_code == EXIT_DATA_ERROR and not keep_going:
+                exit_code = EXIT_DATA_ERROR
+                break
+            if result.exit_code == 0:
+                lines.append(result.stdout.splitlines()[0].removesuffix(", values in bits"))
+        written, stdout, _, _, code = runs[0]
+        assert written == (expected.read_bytes() if expected.exists() else None)
+        assert stdout == "".join(f"{line}\n" for line in lines)
+        assert code == exit_code
+
+    @pytest.mark.parametrize("failure", ["bad data", "bad data, keep going", "unreadable"])
+    def test_failure_in_a_chunk_comes_after_the_earlier_rows(
+        self, runner, tmp_path, monkeypatch, failure
+    ):
+        a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
+        write_rows(a, [("1", "2", "3")])
+        write_rows(c, [("1", "2", "3"), ("1", "2", "4")])
+        if failure == "unreadable":  # matched, then removed before it is read
+            monkeypatch.setattr(cli, "_expand_inputs", lambda inputs: [str(a), str(b), str(c)])
+        else:
+            b.write_text("broken,line\n", encoding="utf-8")
+        assert cli._CHUNK_CELLS > 3  # the three files make one chunk
+        out = tmp_path / "runs.csv"
+        args = ["batch", str(tmp_path), "--output", str(out)]
+        result = runner.invoke(main, args + ["--keep-going"] * (failure == "bad data, keep going"))
+        message = result.stderr.splitlines()[0]
+        assert message.startswith(
+            {
+                "bad data": f"error: {b}: ",
+                "bad data, keep going": f"warning: skipping {b}: ",
+                "unreadable": f"error: cannot read {b}: No such file or directory",
+            }[failure]
+        )
+        if failure == "bad data, keep going":
+            rows = ["a.txt: 1 cases, 3 dimensions", "c.txt: 2 cases, 3 dimensions"]
+            summary = "batch: 3 files, 2 rows appended, 1 skipped"
+            assert result.output.splitlines() == [rows[0], message, rows[1], summary]
+            assert result.exit_code == 0
+        else:
+            rows = ["a.txt: 1 cases, 3 dimensions"]
+            assert result.output.splitlines() == [rows[0], message]
+            assert result.exit_code == (1 if failure == "unreadable" else EXIT_DATA_ERROR)
+        written = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[0] for line in written] == [row.split(":")[0] for row in rows]
 
 
 class TestDecompose:

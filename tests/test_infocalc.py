@@ -7,7 +7,7 @@ from math import fsum, log2
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,7 @@ from th4.infocalc import (
     _chains,
     _entropies,
     _exact_multiples,
+    _full_reports,
     _grouped_entropies,
     _transmission_from_entropies,
     conditional_transmission,
@@ -409,3 +410,38 @@ def test_exact_multiples_sum_to_the_repeated_terms(pairs):
         if times <= 1000:
             assert fsum(four) == fsum(repeat(term, times))
     assert fsum(pieces.ravel().tolist()) == float(sum(Fraction(t) * times for t, times in pairs))
+
+
+# ---- the reports of several tables from one stacked kernel call
+
+
+@st.composite
+def mixed_tables(draw):
+    """A table of 3 or 4 dimensions, its counts past 2**63 at times."""
+    arity = draw(st.sampled_from((3, 4)))
+    label = st.sampled_from(["", "a", "b", "c", "dd"])
+    count = st.one_of(st.integers(1, 10**6), st.integers(2**61, 2**70))
+    counts = draw(st.dictionaries(st.tuples(*[label] * arity), count, min_size=1, max_size=30))
+    return ContingencyTable.from_counts(arity, counts)
+
+
+@given(st.lists(mixed_tables(), max_size=8))
+# int64 tables whose stacked total passes 2**63.
+@example(
+    [
+        ContingencyTable.from_counts(3, {("a", "b", "c"): 2**62, ("", "b", "c"): 2**61}),
+        ContingencyTable.from_counts(3, {("a", "b", "c"): 2**62 + 1, ("a", "", "c"): 2**61}),
+    ]
+)
+@settings(deadline=None)
+def test_stacked_reports_equal_the_reports_of_each_table(tables):
+    reports = _full_reports(tables)
+    expected = [full_report(table) for table in tables]
+    assert reports == expected
+    assert list(map(repr, reports)) == list(map(repr, expected))  # bits and order too
+
+
+def test_stacked_reports_refuse_an_empty_table(golden3_table):
+    empty = ContingencyTable.from_counts(3, {})
+    with pytest.raises(ValueError, match="empty table"):
+        _full_reports([golden3_table, empty])
