@@ -446,6 +446,7 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
     default=DEFAULT_MAX_ITERATIONS,
     show_default=True,
     type=click.IntRange(min=0),
+    help="Most scaling iterations; a fit not converged by then exits 4.",
 )
 @_precision_option
 @click.option("--json", "as_json", is_flag=True, help="Emit the summary as JSON.")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Iterable
 
-from .infocalc import _grouped_entropies, _lattice, _transmission_from_entropies
+from .infocalc import _grouped_entropies, _lattice, _transmission_from_entropies, transmission
 from .tables import ContingencyTable, normalize_subset
 
 _TOL = 1e-12
@@ -64,11 +64,8 @@ def decompose_by_dimension(
         raise ValueError(f"grouping dimension {group_dim} out of range")
     if group_dim in dims:
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
-    # The pooled T is the one-group case of the same entropies and sum.
-    lattice = _lattice(dims)
-    _, _, pooled = _grouped_entropies(table, lattice)
-    t_pooled = _transmission_from_entropies(dims, {u: h[0] for u, h in pooled.items()})
-    codes, n_g, entropies = _grouped_entropies(table, lattice, by=group_dim)
+    t_pooled = transmission(table, dims)
+    codes, n_g, entropies = _grouped_entropies(table, _lattice(dims), by=group_dim)
     groups = []
     for g, (code, n) in enumerate(zip(codes, n_g)):
         weight = n / table.total

@@ -187,12 +187,14 @@ def load_table(
     if not lookups:
         raise EmptyDatasetError(f"no case records in {source!r}")
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
+    codes, counts = _group(alphabets, columns)
     if drop_empty:
+        # A kept cell's first record is kept: cells and labels keep their order.
         kept = np.logical_and.reduce(
-            [codes != lookup.labels.get("", -1) for codes, lookup in zip(columns, lookups)]
+            [column != lookup.labels.get("", -1) for column, lookup in zip(codes, lookups)]
         )
         if not kept.any():
             raise EmptyDatasetError(f"all records in {source!r} carry empty labels")
         if not kept.all():
-            return _trimmed(alphabets, *_group(alphabets, [codes[kept] for codes in columns]))
-    return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns))
+            return _trimmed(alphabets, [column[kept] for column in codes], counts[kept])
+    return ContingencyTable._from_codes(alphabets, codes, counts)

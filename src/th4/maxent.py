@@ -80,6 +80,9 @@ class _FittedView(Mapping):
         self._alphabets = alphabets
         self._index: list[dict[str, int]] | None = None
 
+    def __reduce__(self):  # unpickled through __init__, so the factors stay read-only
+        return _FittedView, (self._factors, self._alphabets)
+
     def __getitem__(self, labels: tuple[str, ...]) -> float:
         if not isinstance(labels, tuple) or len(labels) != len(self._alphabets):
             raise KeyError(labels)

@@ -15,8 +15,9 @@ _nested_sums uses the count, and reads the groups of every prefix of
 the key off the same sorted keys by integer division. A stable argsort
 stands in only where the packed value cannot fit in 63 bits.
 
-Tables are immutable once built. Parallel ingestion works by building
-one table per record shard and combining with merge(); for any
+Tables are built by from_counts (mappings) or _from_codes (code arrays)
+and stay read-only, across pickle too. Parallel ingestion builds one
+table per record shard and combines them with merge(); for any
 partition of the records the merged counts equal the sequentially
 built ones.
 """
@@ -45,11 +46,6 @@ def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:
 
 
 _Alphabets = tuple[tuple[str, ...], ...]
-
-
-def _alphabets_from(arity: int, tuples: Iterable[tuple[str, ...]]) -> _Alphabets:
-    columns = list(zip(*tuples)) or [()] * arity
-    return tuple(tuple(dict.fromkeys(column)) for column in columns)
 
 
 def _label_index(alphabet: Sequence[str]) -> dict[str, int]:
@@ -178,6 +174,9 @@ class _CountsView(Mapping):
         self._alphabets, self._codes, self._counts = alphabets, codes, counts
         self._dict: dict[tuple[str, ...], int] | None = None
 
+    def __reduce__(self):  # unpickled through __init__, so the arrays stay read-only
+        return _CountsView, (self._alphabets, self._codes, self._counts)
+
     def _as_dict(self) -> dict[tuple[str, ...], int]:
         if self._dict is None:
             self._dict = dict(zip(self, self._counts.tolist()))
@@ -219,7 +218,7 @@ def _stacked(a: _CountsView, b: _CountsView) -> tuple[_Alphabets, list[np.ndarra
     return alphabets, columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ContingencyTable:
     """Counts of label tuples in `arity` dimensions.
 
@@ -230,7 +229,7 @@ class ContingencyTable:
     (indices into `alphabets`) and a counts array, int64 or, when
     `total` >= 2**63, exact Python ints in an object array. `counts` is
     a read-only mapping over the observed cells in first-appearance
-    order; the constructor codes any mapping it is given once.
+    order. from_counts builds a table; the class itself takes no arguments.
     """
 
     arity: int
@@ -238,42 +237,8 @@ class ContingencyTable:
     total: int
     alphabets: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        counts = self.counts
-        coded = (
-            isinstance(counts, _CountsView)
-            and counts._alphabets == self.alphabets
-            and len(self.alphabets) == self.arity
-        )
-        if self.total != (counts._counts.sum() if coded else sum(counts.values())):
-            raise ValueError("total does not match the stored counts")
-        if coded:
-            return
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        for labels, count in counts.items():  # name the first offending cell
-            if len(labels) != self.arity:
-                raise ValueError(f"tuple {labels!r} does not have {self.arity} labels")
-            try:
-                operator.index(count)
-            except TypeError:
-                raise ValueError(
-                    f"stored count for {labels!r} must be an integer, got {count!r}"
-                ) from None
-            if count < 1:
-                raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
-        try:
-            operator.index(self.total)
-        except TypeError:
-            raise ValueError(f"total must be an integer, got {self.total!r}") from None
-        columns = list(zip(*counts)) or [()] * self.arity
-        codes = tuple(
-            np.fromiter(map(_label_index(alphabet).__getitem__, column), np.int64, len(column))
-            for alphabet, column in zip(self.alphabets, columns)
-        )
-        # Counts beyond int64 stay exact as Python ints in an object array.
-        array = np.array(list(counts.values()), dtype=np.int64 if self.total < 2**63 else object)
-        object.__setattr__(self, "counts", _CountsView(self.alphabets, codes, array))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a table with ContingencyTable.from_counts(arity, counts)")
 
     @property
     def _codes(self) -> tuple[np.ndarray, ...]:  # per dimension, indices into `alphabets`
@@ -288,16 +253,45 @@ class ContingencyTable:
         cls, alphabets: _Alphabets, codes: tuple[np.ndarray, ...], counts: np.ndarray
     ) -> "ContingencyTable":
         """The table whose i-th cell has labels alphabets[d][codes[d][i]] and
-        count counts[i]; the arrays become its storage."""
+        count counts[i]; the arrays become its read-only storage."""
         total = int(counts.sum())
+        # Counts beyond int64 stay exact as Python ints in an object array.
         counts = counts.astype(np.int64 if total < 2**63 else object, copy=False)
-        return cls(len(alphabets), _CountsView(alphabets, codes, counts), total, alphabets)
+        table, view = object.__new__(cls), _CountsView(alphabets, codes, counts)
+        # Frozen: the fields are set past the dataclass's __setattr__.
+        table.__dict__.update(arity=len(alphabets), counts=view, total=total, alphabets=alphabets)
+        return table
 
     @classmethod
     def from_counts(cls, arity: int, counts: Mapping[tuple[str, ...], int]) -> "ContingencyTable":
-        """Build a table from an explicit cell->count mapping (zero cells dropped)."""
-        kept = {labels: count for labels, count in counts.items() if count != 0}
-        return cls(arity, kept, sum(kept.values()), _alphabets_from(arity, kept))
+        """Build a table from a label-tuple -> count mapping, zero cells dropped.
+
+        Raises ValueError for an arity below 1 and, naming the first such
+        cell, for a tuple of another length or a count not an integer >= 0.
+        """
+        if arity < 1:
+            raise ValueError(f"arity must be >= 1, got {arity}")
+        kept = {}
+        for labels, count in counts.items():
+            if count == 0:
+                continue  # zero cells are dropped before any check
+            if len(labels) != arity:
+                raise ValueError(f"tuple {labels!r} does not have {arity} labels")
+            try:
+                count = operator.index(count)
+            except TypeError:
+                message = f"stored count for {labels!r} must be an integer, got {count!r}"
+                raise ValueError(message) from None
+            if count < 1:
+                raise ValueError(f"stored count for {labels!r} must be >= 1, got {count}")
+            kept[labels] = count
+        columns = list(zip(*kept)) or [()] * arity
+        alphabets = tuple(tuple(dict.fromkeys(column)) for column in columns)
+        codes = tuple(
+            np.fromiter(map(_label_index(alphabet).__getitem__, column), np.int64, len(column))
+            for alphabet, column in zip(alphabets, columns)
+        )
+        return cls._from_codes(alphabets, codes, np.array(list(kept.values()), dtype=object))
 
 
 def _trimmed(

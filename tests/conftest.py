@@ -3,11 +3,17 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 import oracles
 from th4.ingest import load_table
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# The property tests assert equalities, not timings: no deadline, so a
+# busy host cannot fail them.
+settings.register_profile("th4", deadline=None)
+settings.load_profile("th4")
 
 
 @pytest.fixture(scope="session")

@@ -286,6 +286,18 @@ def decompose_per_group(table, group_dim, subset):
     return DecompositionResult(dims, tuple(groups), t_pooled, t_between)
 
 
+def table_over(alphabets, counts):
+    """The table of `counts` (label tuple -> count >= 1) over `alphabets` as
+    given: labels in any order, unused ones included."""
+    columns = list(zip(*counts)) or [()] * len(alphabets)
+    codes = tuple(
+        np.array([alphabet.index(label) for label in column], dtype=np.int64)
+        for alphabet, column in zip(alphabets, columns)
+    )
+    counts = np.array(list(counts.values()), dtype=object)
+    return ContingencyTable._from_codes(alphabets, codes, counts)
+
+
 def range_table(rng: random.Random, sizes, n):
     """A table over alphabets of `sizes` labels, given as ranges, whose up to
     `n` cells use three labels of each: keys too wide for a packed sort."""

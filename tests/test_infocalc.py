@@ -7,7 +7,7 @@ from math import fsum, log2
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -433,7 +433,6 @@ def mixed_tables(draw):
         ContingencyTable.from_counts(3, {("a", "b", "c"): 2**62 + 1, ("a", "", "c"): 2**61}),
     ]
 )
-@settings(deadline=None)
 def test_stacked_reports_equal_the_reports_of_each_table(tables):
     reports = _full_reports(tables)
     expected = [full_report(table) for table in tables]

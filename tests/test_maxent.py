@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import product
 from math import log2, prod
@@ -206,6 +207,16 @@ def test_accepts_a_reordered_twin_and_refuses_one_changed_count():
             krippendorff_interaction(ContingencyTable.from_counts(3, changed), fit)
 
 
+def test_pickled_fit_stays_read_only(golden3_table):
+    fit = ipf_fit(golden3_table)
+    copy = pickle.loads(pickle.dumps(fit))
+    assert copy == fit and dict(copy.fitted.items()) == dict(fit.fitted.items())
+    assert krippendorff_interaction(golden3_table, copy) == fit.interaction_bits
+    for array in (*copy.fitted._factors, copy._source_counts._counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+
+
 # Four-dimension rows, so that projecting onto (0, 1, 2) builds a new table
 # each time; small alphabets leave zero cells inside the cross-product.
 rows4_strategy = st.lists(
@@ -220,7 +231,7 @@ rows4_strategy = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows4_strategy)
 def test_fitted_view_and_interaction_reuse(rows):
     full = oracles.table_from_rows(rows)
@@ -275,7 +286,7 @@ counts3_strategy = st.dictionaries(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(counts3_strategy)
 @example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3})
 def test_interaction_bits_equal_the_dense_summation(counts):
@@ -305,7 +316,7 @@ sparse3_strategy = st.dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(sparse3_strategy, st.sampled_from([0, 1, 2, 7, 1000]))
 @example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3}, 1000)
 @example({("a", "p", "u"): 2**63, ("b", "q", "v"): 1, ("a", "q", "v"): 3}, 0)
