@@ -22,7 +22,7 @@ import sys
 import threading
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 import click
 
@@ -31,7 +31,7 @@ from . import __version__
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .decompose import DecompositionResult, decompose_by_dimension
-from .errors import InputDataError, TableTooLargeError
+from .errors import InputDataError, NotConvergedError, TableTooLargeError
 from .infocalc import (
     DIM_NAMES,
     H_SCHEMA,
@@ -193,14 +193,14 @@ def decomposition_rows(result: DecompositionResult, precision: int) -> list[str]
     return rows
 
 
-def _fail_data(message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
+    """Exit with `code` after one `error: {message}` line on stderr."""
     click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_DATA_ERROR)
+    sys.exit(code)
 
 
 def _load(
     path: str | Path,
-    label: str | None,
     drop_empty: bool,
     keep_going: bool = False,
     before_failure: Callable[[], None] = lambda: None,
@@ -211,15 +211,14 @@ def _load(
     before_failure runs ahead of any such message.
     """
     try:
-        return load_table(path, label, drop_empty)
+        return load_table(path, drop_empty=drop_empty)
     except OSError as exc:
         before_failure()
-        click.echo(f"error: cannot read {path}: {exc.strerror or exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
+        _fail(EXIT_IO_ERROR, f"cannot read {path}: {exc.strerror or exc}")
     except InputDataError as exc:
         before_failure()
         if not keep_going:
-            _fail_data(f"{path}: {exc}")
+            _fail(EXIT_DATA_ERROR, f"{path}: {exc}")
         click.echo(f"warning: skipping {path}: {exc}", err=True)
         return None
 
@@ -228,11 +227,9 @@ def _append(path: Path, row: str) -> None:
     try:
         append_row(path, row)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc.strerror or exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
+        _fail(EXIT_IO_ERROR, f"cannot write {path}: {exc.strerror or exc}")
     except ValueError as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(EXIT_IO_ERROR)
+        _fail(EXIT_IO_ERROR, f"{path}: {exc}")
 
 
 def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
@@ -310,7 +307,7 @@ def main():
 @_drop_empty_option
 def report(input_path, output_path, label, precision, as_json, full_precision, drop_empty):
     """Compute all entropies and transmissions of one file; append one row."""
-    rep = full_report(_load(input_path, label, drop_empty))
+    rep = full_report(_load(input_path, drop_empty))
     name = label if label is not None else input_path.name
     _append(output_path, _csv_row(name, rep, precision, full_precision))
     if as_json:
@@ -348,12 +345,11 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
         name = os.path.basename(path)
         first = by_name.setdefault(name, path)
         if first != path:
-            click.echo(
-                f"error: {first} and {path} share the file name {name!r}, "
+            _fail(
+                EXIT_USAGE,
+                f"{first} and {path} share the file name {name!r}, "
                 "which would label two rows alike",
-                err=True,
             )
-            sys.exit(EXIT_USAGE)
     held: list[tuple[str, ContingencyTable]] = []  # loaded, row not yet appended
 
     def flush() -> None:
@@ -364,7 +360,7 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
 
     skipped = 0
     for name, path in by_name.items():
-        table = _load(path, None, drop_empty, keep_going, before_failure=flush)
+        table = _load(path, drop_empty, keep_going, before_failure=flush)
         if table is None:
             skipped += 1
             continue
@@ -403,7 +399,7 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
 @_drop_empty_option
 def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
     """Split the pooled transmission into per-group contributions."""
-    table = _load(input_path, None, drop_empty)
+    table = _load(input_path, drop_empty)
     try:
         dims = parse_subset(subset)
         result = decompose_by_dimension(table, DIM_NAMES.index(group_by), dims)
@@ -415,8 +411,7 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
             with open(output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join([DECOMP_HEADER, *rows]) + "\n")
         except OSError as exc:
-            click.echo(f"error: cannot write {output_path}: {exc.strerror or exc}", err=True)
-            sys.exit(EXIT_IO_ERROR)
+            _fail(EXIT_IO_ERROR, f"cannot write {output_path}: {exc.strerror or exc}")
     click.echo(
         f"T({subset_name(result.subset)}) grouped by {group_by}: "
         f"{table.arity} dimensions, {len(result.groups)} groups"
@@ -453,25 +448,22 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
 @_drop_empty_option
 def ipf(input_path, subset, tolerance, max_iter, precision, as_json, drop_empty):
     """Fit the no-three-way-interaction model; report the interaction information."""
-    table = _load(input_path, None, drop_empty)
+    table = _load(input_path, drop_empty)
     try:
         dims = parse_subset(subset)
-        if len(dims) != 3:
-            raise ValueError("the fit needs exactly three distinct dimensions")
         table = project(table, dims)
         result = ipf_fit(table, tolerance=tolerance, max_iterations=max_iter)
+        interaction = krippendorff_interaction(table, result)
     except TableTooLargeError as exc:
-        _fail_data(f"{input_path}: {exc}")
+        _fail(EXIT_DATA_ERROR, f"{input_path}: {exc}")
+    except NotConvergedError as exc:
+        _fail(
+            EXIT_NOT_CONVERGED,
+            f"no convergence within {exc.iterations} iterations "
+            f"(max margin error {exc.max_margin_error:.3e}, tolerance {tolerance:.3e})",
+        )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    if not result.converged:
-        click.echo(
-            f"error: no convergence within {result.iterations} iterations "
-            f"(max margin error {result.max_margin_error:.3e}, tolerance {tolerance:.3e})",
-            err=True,
-        )
-        sys.exit(EXIT_NOT_CONVERGED)
-    interaction = krippendorff_interaction(table, result)
     t3 = transmission(table, (0, 1, 2))
     redundancy = interaction - t3
     if as_json:

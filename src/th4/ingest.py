@@ -170,22 +170,20 @@ def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Cod
     _raise_first_error(block, before, first)
 
 
-def load_table(
-    path: str | os.PathLike, label: str | None = None, drop_empty: bool = False
-) -> ContingencyTable:
+def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> ContingencyTable:
     """Read a case-record file (UTF-8) and count its label tuples.
 
     Cells are in first-appearance order, and each alphabet lists its
     dimension's labels in first-appearance order. With drop_empty,
-    records carrying an empty label are skipped. `label` only names the
-    file in EmptyDatasetError messages (default: the file name). Raises
-    FormatError for the first bad line, EmptyDatasetError for a file
-    with no record or, with drop_empty, none without an empty label.
+    records carrying an empty label are skipped. Raises FormatError for
+    the first bad line, EmptyDatasetError for a file with no record or,
+    with drop_empty, none without an empty label. Their messages
+    describe the data and name no file; the command line prefixes the
+    file's path.
     """
     columns, lookups = _label_columns(path)
-    source = label if label is not None else os.path.basename(os.fspath(path))
     if not lookups:
-        raise EmptyDatasetError(f"no case records in {source!r}")
+        raise EmptyDatasetError("no case records")
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
     codes, counts = _group(alphabets, columns)
     if drop_empty:
@@ -194,7 +192,7 @@ def load_table(
             [column != lookup.labels.get("", -1) for column, lookup in zip(codes, lookups)]
         )
         if not kept.any():
-            raise EmptyDatasetError(f"all records in {source!r} carry empty labels")
+            raise EmptyDatasetError("all records carry empty labels")
         if not kept.all():
             return _trimmed(alphabets, [column[kept] for column in codes], counts[kept])
     return ContingencyTable._from_codes(alphabets, codes, counts)

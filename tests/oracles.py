@@ -7,7 +7,6 @@ machinery, so tests can cross-check the two paths.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -325,13 +324,12 @@ def _clean_field(raw, line_number):
     return field
 
 
-def read_rows(path, label=None, drop_empty=False):
+def read_rows(path, *, drop_empty=False):
     """A case-record file's label rows in file order, one per record.
 
     Parses every line into its labels, then drops the rows carrying an
     empty label when asked. The errors and their text are load_table's.
     """
-    source_label = label if label is not None else os.path.basename(os.fspath(path))
     rows, first = [], None
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
@@ -359,17 +357,17 @@ def read_rows(path, label=None, drop_empty=False):
                 )
             rows.append(labels)
     if not rows:
-        raise EmptyDatasetError(f"no case records in {source_label!r}")
+        raise EmptyDatasetError("no case records")
     if drop_empty:
         rows = [row for row in rows if all(row)]
         if not rows:
-            raise EmptyDatasetError(f"all records in {source_label!r} carry empty labels")
+            raise EmptyDatasetError("all records carry empty labels")
     return rows
 
 
-def reference_table(path, label=None, drop_empty=False):
+def reference_table(path, *, drop_empty=False):
     """The table of read_rows: cells and alphabets in record order."""
-    return table_from_rows(read_rows(path, label, drop_empty))
+    return table_from_rows(read_rows(path, drop_empty=drop_empty))
 
 
 # --- data generators ---

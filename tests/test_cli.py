@@ -17,7 +17,9 @@ from th4.cli import (
     CSV_HEADER,
     DECOMP_HEADER,
     EXIT_DATA_ERROR,
+    EXIT_IO_ERROR,
     EXIT_NOT_CONVERGED,
+    EXIT_USAGE,
     format_value,
     main,
 )
@@ -222,7 +224,9 @@ class TestReport:
         out.write_text("name,value\nold,1\n", encoding="utf-8")
         result = runner.invoke(main, ["report", "--input", str(golden4_path), "--output", str(out)])
         assert result.exit_code == 1
-        assert f"error: {out}: header does not match" in result.stderr
+        assert result.stderr == (
+            f"error: {out}: header does not match the th4 columns; refusing to append\n"
+        )
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
@@ -604,7 +608,11 @@ class TestIpf:
             main, ["ipf", "--input", str(data), "--subset", "wxy", "--max-iter", "0"]
         )
         assert result.exit_code == EXIT_NOT_CONVERGED
-        assert "max margin error" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: no convergence within 0 iterations (max margin error ")
+        assert line.endswith(", tolerance 1.000e-10)")
 
     def test_a_217_label_cube_fits(self, runner, tmp_path):
         # 217**3 cells passed the former 10**7-cell guard on the dense table;
@@ -692,8 +700,17 @@ class TestFailurePaths:
             ("golden3", ["decompose", "--group-by", "z", "--subset", "wx"], "grouping dimension 3"),
             ("golden3", ["decompose", "--group-by", "w", "--subset", "x,z"], "out of range"),
             ("golden4", ["ipf", "--subset", "wxq"], "unknown dimension 'q'"),
+            ("golden4", ["ipf", "--subset", "wx"], "defined for three-dimension tables"),
+            ("golden4", ["ipf", "--subset", "wxyz"], "defined for three-dimension tables"),
         ],
-        ids=["one-dimension-subset", "group-by-absent", "subset-absent", "unknown-letter"],
+        ids=[
+            "one-dimension-subset",
+            "group-by-absent",
+            "subset-absent",
+            "unknown-letter",
+            "ipf-two-dimensions",
+            "ipf-four-dimensions",
+        ],
     )
     def test_usage_error(self, runner, request, data, command, message):
         path = request.getfixturevalue(f"{data}_path")
@@ -705,9 +722,64 @@ class TestFailurePaths:
         [line] = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert message in line
 
+    @pytest.mark.parametrize(
+        "content,flags,message",
+        [
+            ("\n", ["--label", "region 1"], "no case records"),
+            ("a,,2,3\nb,1,,3\n", ["--drop-empty-labels"], "all records carry empty labels"),
+        ],
+        ids=["empty-file-with-a-label", "only-empty-labels"],
+    )
+    def test_data_error_names_the_file_once(self, runner, tmp_path, content, flags, message):
+        data = tmp_path / "region.txt"
+        data.write_text(content, encoding="utf-8")
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["report", "--input", str(data), "--output", str(out), *flags])
+        assert result.exit_code == EXIT_DATA_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == f"error: {data}: {message}\n"
+        assert result.stdout == ""
+        assert not out.exists()
+
+    def test_keep_going_warns_once_about_an_empty_file(self, runner, tmp_path):
+        good, empty = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_rows(good, [("1", "2", "3")])
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(
+            main, ["batch", str(good), str(empty), "--output", str(out), "--keep-going"]
+        )
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        assert result.stderr == (
+            f"warning: skipping {empty}: no case records\n"
+            "batch: 2 files, 1 rows appended, 1 skipped\n"
+        )
+        assert result.stdout == "a.txt: 1 cases, 3 dimensions\n"
+
+    def test_batch_refuses_two_files_of_one_name(self, runner, tmp_path):
+        first, second = tmp_path / "one" / "a.txt", tmp_path / "two" / "a.txt"
+        for path in (first, second):
+            path.parent.mkdir()
+            write_rows(path, [("1", "2", "3")])
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(first), str(second), "--output", str(out)])
+        assert result.exit_code == EXIT_USAGE
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == (
+            f"error: {first} and {second} share the file name 'a.txt', "
+            "which would label two rows alike\n"
+        )
+        assert result.stdout == ""
+        assert not out.exists()
+
 
 def test_exit_codes_are_distinct():
-    assert len({0, 2, EXIT_DATA_ERROR, EXIT_NOT_CONVERGED}) == 4
+    # README documents exit codes 0 to 4, one per kind of outcome.
+    codes = {0, EXIT_IO_ERROR, EXIT_USAGE, EXIT_DATA_ERROR, EXIT_NOT_CONVERGED}
+    assert codes == set(range(5))
 
 
 def test_version_runs(runner):

@@ -107,17 +107,19 @@ class TestParseDataset:
 
 
 class TestLoadDataset:
-    def test_default_label_is_file_name(self, tmp_path):
+    def test_empty_file_message_names_no_file(self, tmp_path):
         path = tmp_path / "blank.txt"
         path.write_bytes(b"\n")
-        with pytest.raises(EmptyDatasetError, match="^no case records in 'blank.txt'$"):
+        with pytest.raises(EmptyDatasetError, match="^no case records$"):
             load_table(path)
 
-    def test_explicit_label(self, tmp_path):
+    def test_drop_empty_is_keyword_only(self, tmp_path):
         path = tmp_path / "holes.txt"
         path.write_bytes(b"a,,2,3\n")
-        with pytest.raises(EmptyDatasetError, match="^all records in 'run-1' carry empty labels$"):
-            load_table(path, label="run-1", drop_empty=True)
+        with pytest.raises(TypeError):
+            load_table(path, None, True)
+        with pytest.raises(EmptyDatasetError, match="^all records carry empty labels$"):
+            load_table(path, drop_empty=True)
 
     def test_invalid_utf8_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -169,23 +171,23 @@ def test_drop_empty_labels_exhausting_dataset(load_lines):
 # ---- load_table against the record-level reference reader in oracles
 
 
-def outcome(load, *args):
+def outcome(load, path, **kwargs):
     """A table as every property the two paths must share, or an error as type, line and text."""
     try:
-        table = load(*args)
+        table = load(path, **kwargs)
     except (FormatError, EmptyDatasetError) as exc:
         return type(exc), getattr(exc, "line_number", None), str(exc)
     return dict(table.counts), list(table.counts), table.total, table.arity, table.alphabets
 
 
-def assert_same_outcome(path, label=None, drop_empty=False):
+def assert_same_outcome(path, drop_empty=False):
     """load_table's outcome is the reference reader's, and a file the
     reference accepts never reaches the error locator."""
-    expected = outcome(oracles.reference_table, path, label, drop_empty)
+    expected = outcome(oracles.reference_table, path, drop_empty=drop_empty)
     with mock.patch.object(
         ingest, "_raise_first_error", wraps=ingest._raise_first_error
     ) as locate:
-        assert outcome(load_table, path, label, drop_empty) == expected
+        assert outcome(load_table, path, drop_empty=drop_empty) == expected
     if isinstance(expected[0], dict):
         assert not locate.called
 
@@ -246,11 +248,11 @@ def case_file(draw):
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case_file(), st.sampled_from((None, "run-1")), st.booleans())
-def test_load_table_matches_record_path(tmp_path, content, label, drop_empty):
+@given(case_file(), st.booleans())
+def test_load_table_matches_record_path(tmp_path, content, drop_empty):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
-    assert_same_outcome(path, label, drop_empty)
+    assert_same_outcome(path, drop_empty)
 
 
 @pytest.fixture(params=[1, 16])
@@ -260,13 +262,11 @@ def tiny_blocks(request, monkeypatch):
 
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case_file(), st.sampled_from((None, "run-1")), st.booleans())
-def test_load_table_matches_record_path_in_tiny_blocks(
-    tmp_path, tiny_blocks, content, label, drop_empty
-):
+@given(case_file(), st.booleans())
+def test_load_table_matches_record_path_in_tiny_blocks(tmp_path, tiny_blocks, content, drop_empty):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
-    assert_same_outcome(path, label, drop_empty)
+    assert_same_outcome(path, drop_empty)
 
 
 EXAMPLES = pytest.mark.parametrize(
@@ -290,7 +290,7 @@ EXAMPLES = pytest.mark.parametrize(
 def test_load_table_matches_record_path_on_examples(tmp_path, content, drop_empty):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
-    assert_same_outcome(path, None, drop_empty)
+    assert_same_outcome(path, drop_empty)
 
 
 @EXAMPLES
@@ -300,7 +300,7 @@ def test_load_table_matches_record_path_on_examples_in_tiny_blocks(
 ):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
-    assert_same_outcome(path, None, drop_empty)
+    assert_same_outcome(path, drop_empty)
 
 
 @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ def test_load_table_opens_the_file_once(tmp_path, monkeypatch, content, drop_emp
     monkeypatch.setattr(ingest, "open", counting_open, raising=False)
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
-    assert_same_outcome(path, None, drop_empty)
+    assert_same_outcome(path, drop_empty)
     assert opened == [path]
 
 
