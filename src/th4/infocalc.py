@@ -14,8 +14,9 @@ indicating a net reduction of uncertainty (synergy).
 Every H is computed by one kernel, _grouped_entropies, for the whole
 table or within each group of its cells by their label on a grouping
 dimension. decompose groups by a dimension of the data, and batch's
-reports group the cells of several stacked tables by the table they
-come from; the rest of th4 takes the whole table.
+reports stack several tables with tables._stacked (the stack merge and
+== use), add a dimension holding each cell's table index and group by
+it; the rest of th4 takes the whole table.
 The requested subsets are covered by chains of nested subsets (W, WX,
 WXY), one sort of the cells per chain (tables._nested_sums), keyed on
 the grouping dimension first; a subset that spans every dimension
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import ContingencyTable, _nested_sums, normalize_subset
+from .tables import ContingencyTable, _nested_sums, _stacked, normalize_subset
 
 DIM_NAMES = "wxyz"
 
@@ -271,24 +272,6 @@ def full_report(table: ContingencyTable) -> EntropyReport:
     return _full_reports([table])[0]
 
 
-def _stacked(tables: Sequence[ContingencyTable]) -> ContingencyTable:
-    """The cells of tables of one arity as one table, with one more
-    dimension holding each cell's table index.
-
-    Every dimension keeps each table's own codes and is as large as the
-    largest of their alphabets. The kernel reads only the codes and the
-    alphabets' sizes, so the stacked labels are the codes themselves.
-    """
-    arity = tables[0].arity
-    sizes = [max(len(t.alphabets[d]) for t in tables) for d in range(arity)] + [len(tables)]
-    codes = [np.concatenate([t._codes[d] for t in tables]) for d in range(arity)]
-    codes.append(np.repeat(np.arange(len(tables)), [len(t.counts) for t in tables]))
-    counts = np.concatenate([t._cell_counts for t in tables])
-    if sum(t.total for t in tables) >= 2**63:  # int64 sums would wrap: exact Python ints
-        counts = counts.astype(object)
-    return ContingencyTable._from_codes(tuple(map(range, sizes)), tuple(codes), counts)
-
-
 def _full_reports(tables: Sequence[ContingencyTable]) -> list[EntropyReport]:
     """full_report of each table, from one kernel call per arity: a lone
     table on its own, several stacked and grouped by their table index."""
@@ -303,7 +286,11 @@ def _full_reports(tables: Sequence[ContingencyTable]) -> list[EntropyReport]:
         if len(members) == 1:
             stack, by = tables[members[0]], None
         else:
-            stack, by = _stacked([tables[i] for i in members]), arity
+            views = [tables[i].counts for i in members]
+            alphabets, columns, counts = _stacked(views)
+            columns.append(np.repeat(np.arange(len(views)), list(map(len, views))))
+            alphabets += (tuple(range(len(views))),)  # each cell's table index
+            stack, by = ContingencyTable._from_codes(alphabets, tuple(columns), counts), arity
         _, _, entropies = _grouped_entropies(stack, _lattice(dims), by)
         for g, i in enumerate(members):
             h = {u: hs[g] for u, hs in entropies.items()}

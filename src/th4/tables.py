@@ -19,7 +19,9 @@ Tables are built by from_counts (mappings) or _from_codes (code arrays)
 and stay read-only, across pickle too. Parallel ingestion builds one
 table per record shard and combines them with merge(); for any
 partition of the records the merged counts equal the sequentially
-built ones.
+built ones. Tables are laid side by side in one place, _stacked, which
+merge, == and batch's reports (infocalc._full_reports) share: the union
+of their alphabets, each table's codes recoded into it, and the counts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,19 +206,26 @@ class _CountsView(Mapping):
             return False
         # A view's cells are distinct, so the two match exactly when every
         # merged cell pairs a cell of each and their counts cancel.
-        _, sums = _group(*_stacked(self, other), np.concatenate((self._counts, -other._counts)))
+        alphabets, columns, counts = _stacked((self, other))
+        counts[len(self) :] *= -1
+        _, sums = _group(alphabets, columns, counts)
         return len(sums) == len(self) and not sums.any()
 
 
-def _stacked(a: _CountsView, b: _CountsView) -> tuple[_Alphabets, list[np.ndarray]]:
-    """The union of the alphabets (a's, then b's new labels), and per
-    dimension a's codes followed by b's, recoded into the union."""
-    alphabets = tuple(tuple(dict.fromkeys(la + lb)) for la, lb in zip(a._alphabets, b._alphabets))
-    columns = []
-    for alphabet, codes_a, labels_b, codes_b in zip(alphabets, a._codes, b._alphabets, b._codes):
-        recode = np.fromiter(map(_label_index(alphabet).__getitem__, labels_b), np.int64)
-        columns.append(np.concatenate((codes_a, recode[codes_b])))
-    return alphabets, columns
+def _stacked(views: Sequence[_CountsView]) -> tuple[_Alphabets, list[np.ndarray], np.ndarray]:
+    """The cells of count views of one arity, view after view: the union of
+    their alphabets, labels in order of first appearance; per dimension the
+    views' codes recoded into it; and their counts, int64, or exact Python
+    ints in an object array once their sum reaches 2**63."""
+    alphabets, columns = [], []
+    for d in range(len(views[0]._alphabets)):
+        alphabets.append(tuple(dict.fromkeys(chain.from_iterable(v._alphabets[d] for v in views))))
+        index = _label_index(alphabets[-1])
+        recodes = [np.fromiter(map(index.__getitem__, v._alphabets[d]), np.int64) for v in views]
+        columns.append(np.concatenate([recode[v._codes[d]] for recode, v in zip(recodes, views)]))
+    dtype = np.int64 if sum(int(v._counts.sum()) for v in views) < 2**63 else object
+    counts = np.concatenate([v._counts for v in views]).astype(dtype, copy=False)
+    return tuple(alphabets), columns, counts
 
 
 @dataclass(frozen=True, init=False)
@@ -314,9 +324,7 @@ def merge(a: ContingencyTable, b: ContingencyTable) -> ContingencyTable:
     """Cellwise sum of two tables with the same arity: a's cells, then b's new ones."""
     if a.arity != b.arity:
         raise ValueError(f"cannot merge tables of arity {a.arity} and {b.arity}")
-    alphabets, columns = _stacked(a.counts, b.counts)
-    dtype = np.int64 if a.total + b.total < 2**63 else object
-    counts = np.concatenate((a._cell_counts, b._cell_counts)).astype(dtype)
+    alphabets, columns, counts = _stacked((a.counts, b.counts))
     return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns, counts))
 
 

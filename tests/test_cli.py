@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import random
@@ -161,6 +162,29 @@ class TestReport:
         assert result.exit_code == 0
         assert out.read_text(encoding="utf-8").splitlines()[1].startswith("region 1,")
 
+    def test_label_with_a_comma_and_quotes_is_quoted(self, runner, golden4_path, tmp_path):
+        out = tmp_path / "runs.csv"
+        label = 'north, "east"'
+        args = ["report", "--input", str(golden4_path), "--output", str(out), "--label", label]
+        assert runner.invoke(main, args).exit_code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith('"north, ""east""",4,4,')
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_HEADER.split(",")
+        assert rows[1][0] == label
+        assert len(rows[1]) == 29
+
+    def test_empty_results_file_gets_the_header_first(self, runner, golden4_path, tmp_path):
+        out, fresh = tmp_path / "runs.csv", tmp_path / "fresh.csv"
+        out.write_bytes(b"")
+        for path in (out, fresh):
+            args = ["report", "--input", str(golden4_path), "--output", str(path)]
+            assert runner.invoke(main, args).exit_code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 2
+        assert out.read_bytes() == fresh.read_bytes()
+
     def test_drop_empty_labels(self, runner, tmp_path):
         data = tmp_path / "holes.txt"
         data.write_text("a,1,2,3\nb,,2,3\n", encoding="utf-8")
@@ -280,6 +304,20 @@ class TestBatch:
         assert result.exit_code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "b.txt", "c.txt"]
+
+    def test_file_name_with_a_comma_is_quoted(self, runner, tmp_path):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        for name in ("a,b.txt", "c.txt"):
+            write_rows(datadir / name, [("1", "2", "3"), ("1", "2", "4")])
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(datadir), "--output", str(out)])
+        assert result.exit_code == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1].startswith('"a,b.txt",2,3,')
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["a,b.txt", "c.txt"]
+        assert [len(row) for row in rows] == [29] * 3
 
     def test_same_file_by_two_paths_gives_one_row(self, runner, tmp_path):
         datadir = tmp_path / "regions"

@@ -417,9 +417,13 @@ def test_exact_multiples_sum_to_the_repeated_terms(pairs):
 
 @st.composite
 def mixed_tables(draw):
-    """A table of 3 or 4 dimensions, its counts past 2**63 at times."""
+    """A table of 3 or 4 dimensions, its counts past 2**63 at times, its
+    labels drawn from a pool of its own: "" and four consecutive letters
+    of "abcdefghij", so the pools of two tables partly overlap at most and
+    the union of several tables' alphabets is wider than any one's."""
     arity = draw(st.sampled_from((3, 4)))
-    label = st.sampled_from(["", "a", "b", "c", "dd"])
+    start = draw(st.integers(0, 6))
+    label = st.sampled_from(["", *"abcdefghij"[start : start + 4]])
     count = st.one_of(st.integers(1, 10**6), st.integers(2**61, 2**70))
     counts = draw(st.dictionaries(st.tuples(*[label] * arity), count, min_size=1, max_size=30))
     return ContingencyTable.from_counts(arity, counts)

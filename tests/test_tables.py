@@ -14,7 +14,7 @@ import oracles
 from th4.infocalc import conditional_transmission, full_report
 from th4.ingest import load_table
 from th4.maxent import ipf_fit
-from th4.tables import ContingencyTable, _group, _nested_sums, merge, project
+from th4.tables import ContingencyTable, _group, _nested_sums, _stacked, merge, project
 
 
 class TestBuildTable:
@@ -133,6 +133,18 @@ class TestMerge:
         a = oracles.table_from_rows(oracles.random_rows(rng, 3, (2, 3, 2), 20))
         b = oracles.table_from_rows(oracles.random_rows(rng, 3, (3, 2, 4), 15))
         assert dict(merge(a, b).counts) == dict(merge(b, a).counts)
+
+    def test_stacked_views_share_one_union_alphabet(self):
+        tables = [
+            ContingencyTable.from_counts(2, {("a", "p"): 1, ("b", "q"): 2}),
+            ContingencyTable.from_counts(2, {("c", "q"): 3}),
+            ContingencyTable.from_counts(2, {("b", "r"): 4, ("a", "p"): 5}),
+        ]
+        alphabets, columns, counts = _stacked([table.counts for table in tables])
+        # Labels in order of first appearance across the tables; codes recoded into them.
+        assert alphabets == (("a", "b", "c"), ("p", "q", "r"))
+        assert [codes.tolist() for codes in columns] == [[0, 1, 2, 1, 0], [0, 1, 1, 2, 0]]
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 2, 3, 4, 5]
 
 
 rows_strategy = st.lists(
