@@ -65,11 +65,10 @@ def decompose_by_dimension(
     if group_dim in dims:
         raise ValueError("the grouping dimension cannot be part of the decomposed subset")
     t_pooled = transmission(table, dims)
-    codes, n_g, entropies = _grouped_entropies(table, _lattice(dims), by=group_dim)
     groups = []
-    for g, (code, n) in enumerate(zip(codes, n_g)):
+    for code, n, h in _grouped_entropies(table, _lattice(dims), by=group_dim):
         weight = n / table.total
-        t_g = _transmission_from_entropies(dims, {u: h[g] for u, h in entropies.items()})
+        t_g = _transmission_from_entropies(dims, h)
         label = table.alphabets[group_dim][code]
         groups.append(GroupContribution(label, n, weight, t_g, weight * t_g))
     groups.sort(key=lambda g: g.group_label)

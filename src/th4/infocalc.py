@@ -41,13 +41,17 @@ from .tables import ContingencyTable, _nested_sums, _stacked, normalize_subset
 
 DIM_NAMES = "wxyz"
 
+
+def _lattice(dims: tuple[int, ...], min_size: int = 1) -> list[tuple[int, ...]]:
+    """Every subset of `dims` with at least `min_size` members, smallest first."""
+    return [u for size in range(min_size, len(dims) + 1) for u in combinations(dims, size)]
+
+
 # Fixed output schema: every subset of the four dimensions, smallest
 # first, lexicographic within each size. Reports from 3-dimension data
 # occupy the same 26 slots with zeros in every z-involving entry.
-H_SCHEMA: tuple[tuple[int, ...], ...] = tuple(
-    subset for size in range(1, 5) for subset in combinations(range(4), size)
-)
-T_SCHEMA: tuple[tuple[int, ...], ...] = tuple(s for s in H_SCHEMA if len(s) >= 2)
+H_SCHEMA: tuple[tuple[int, ...], ...] = tuple(_lattice((0, 1, 2, 3)))
+T_SCHEMA: tuple[tuple[int, ...], ...] = tuple(_lattice((0, 1, 2, 3), 2))
 
 
 def subset_name(subset: Iterable[int]) -> str:
@@ -139,10 +143,10 @@ def _distinct_pairs(
 
 def _grouped_entropies(
     table: ContingencyTable, subsets: Sequence[tuple[int, ...]], by: int | None = None
-) -> tuple[list[int], list[int], dict[tuple[int, ...], list[float]]]:
+) -> list[tuple[int, int, dict[tuple[int, ...], float]]]:
     """The groups of the table's cells by their code on dimension `by` (one
-    group of all the cells if None): their codes and case counts, ascending
-    by code, and each (normalized) subset's H within every group.
+    group of all the cells if None), ascending by code: each one's code,
+    case count, and each (normalized) subset's H within it.
 
     One packed sort per chain of nested subsets, keyed on `by` first, gives
     every member's marginal counts in every group, and each marginal cell's
@@ -195,26 +199,18 @@ def _grouped_entropies(
     pieces = _exact_multiples(terms, multiplicity).ravel().tolist()
     bounds = (4 * np.searchsorted(owner, np.arange(len(totals) + 1))).tolist()
     h = [-fsum(pieces[i:j]) + 0.0 for i, j in zip(bounds, bounds[1:])]  # + 0.0: no -0.0
-    h = {dims: h[i * len(n) : (i + 1) * len(n)] for i, dims in enumerate(pairs)}
-    return present, n, {dims: h[dims] for dims in subsets}
-
-
-def _entropies(
-    table: ContingencyTable, subsets: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], float]:
-    """H of each (normalized) subset over the whole table."""
-    return {dims: h for dims, [h] in _grouped_entropies(table, subsets)[2].items()}
+    start = {dims: i * len(n) for i, dims in enumerate(pairs)}
+    return [
+        (code, n_g, {dims: h[start[dims] + g] for dims in subsets})
+        for g, (code, n_g) in enumerate(zip(present, n))
+    ]
 
 
 def entropy(table: ContingencyTable, subset: Iterable[int]) -> float:
     """Shannon entropy in bits of the marginal distribution for `subset`."""
     dims = normalize_subset(subset, table.arity)
-    return _entropies(table, [dims])[dims]
-
-
-def _lattice(dims: tuple[int, ...], min_size: int = 1) -> list[tuple[int, ...]]:
-    """Every subset of `dims` with at least `min_size` members, smallest first."""
-    return [u for size in range(min_size, len(dims) + 1) for u in combinations(dims, size)]
+    [(_, _, h)] = _grouped_entropies(table, [dims])
+    return h[dims]
 
 
 def _transmission_from_entropies(
@@ -228,7 +224,8 @@ def transmission(table: ContingencyTable, subset: Iterable[int]) -> float:
     dims = normalize_subset(subset, table.arity)
     if len(dims) < 2:
         raise ValueError("transmission needs at least two distinct dimensions")
-    return _transmission_from_entropies(dims, _entropies(table, _lattice(dims)))
+    [(_, _, h)] = _grouped_entropies(table, _lattice(dims))
+    return _transmission_from_entropies(dims, h)
 
 
 def conditional_transmission(table: ContingencyTable, a: int, b: int, given: int) -> float:
@@ -238,7 +235,7 @@ def conditional_transmission(table: ContingencyTable, a: int, b: int, given: int
     ac, bc, c, abc = (
         normalize_subset(s, table.arity) for s in ((a, given), (b, given), (given,), (a, b, given))
     )
-    h = _entropies(table, (ac, bc, c, abc))
+    [(_, _, h)] = _grouped_entropies(table, (ac, bc, c, abc))
     return fsum((h[ac], h[bc], -h[c], -h[abc])) + 0.0
 
 
@@ -291,9 +288,7 @@ def _full_reports(tables: Sequence[ContingencyTable]) -> list[EntropyReport]:
             columns.append(np.repeat(np.arange(len(views)), list(map(len, views))))
             alphabets += (tuple(range(len(views))),)  # each cell's table index
             stack, by = ContingencyTable._from_codes(alphabets, tuple(columns), counts), arity
-        _, _, entropies = _grouped_entropies(stack, _lattice(dims), by)
-        for g, i in enumerate(members):
-            h = {u: hs[g] for u, hs in entropies.items()}
+        for i, (_, _, h) in zip(members, _grouped_entropies(stack, _lattice(dims), by)):
             t = {subset: _transmission_from_entropies(subset, h) for subset in _lattice(dims, 2)}
             reports[i] = EntropyReport(arity=arity, n_cases=tables[i].total, h=h, t=t)
     return reports

@@ -96,78 +96,63 @@ class _Codes(dict):
         return code
 
 
-def _label_columns(path: str | os.PathLike) -> tuple[list[np.ndarray], list[_Codes]]:
-    """Each label column of the file as int64 codes, and each dimension's
-    codes; both empty for a file with no record. A block in which a line
-    fails a check goes to _raise_first_error, which names the error.
+def _block_columns(block: bytes, lookups: list[_Codes]) -> list[np.ndarray] | None:
+    """Each label column of a block of whole lines as int64 codes: [] for
+    a block of blank lines, None if a line fails a check. The file's first
+    record starts `lookups`, one per dimension.
     """
-    columns: list[list[np.ndarray]] = []
-    lookups: list[_Codes] = []
-    width = 0  # commas per record, fixed by the first one
-    lines = 0  # lines read so far
-    first: tuple[int, int] | None = None  # line and arity of the first record, once accepted
-    with open(path, "rb") as fh:
-        while block := fh.read(_BLOCK) + fh.readline():
-            # Line structure from the bytes: no byte below 0x80 occurs
-            # inside a UTF-8 multibyte sequence.
-            raw = np.frombuffer(block, dtype=np.uint8)
-            ends = np.flatnonzero(raw == ord("\n"))
-            if not block.endswith(b"\n"):
-                ends = np.append(ends, len(block))
-            before, lines = lines, lines + len(ends)
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            comma_at = np.flatnonzero(raw == ord(","))
-            upto = np.searchsorted(comma_at, ends)
-            commas = np.diff(upto, prepend=0)
-            body = text[:-1] if text.endswith("\n") else text
-            if commas.all():
-                records = body.replace("\n", ",")
-            else:  # a line without a comma must be blank
-                texts = body.split("\n")
-                if any(texts[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
-                    break
-                records = ",".join(line for line, n in zip(texts, commas.tolist()) if n)
-                kept = commas != 0
-                starts, upto, commas = starts[kept], upto[kept], commas[kept]
-                if not commas.size:
-                    continue
-            if not width:
-                width = int(commas[0])
-                if not MIN_ARITY <= width <= MAX_ARITY:
-                    break
-                columns = [[] for _ in range(width)]
-                lookups = [_Codes() for _ in range(width)]
-            if (commas != width).any():
-                break
-            fields = records.split(",")
-            quote_at = np.flatnonzero(raw == ord('"'))
-            try:  # _clean_field raises FormatError for a bad quote
-                if quote_at.size:
-                    # An id with no quote, or with two as its first and last
-                    # byte, passes _clean_field; any other id goes through it.
-                    id_end = comma_at[upto - commas]
-                    quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
-                    plain = (quotes == 0) | (
-                        (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
-                    )
-                    for i in np.flatnonzero(~plain).tolist():
-                        _clean_field(fields[i * (width + 1)], 0)
-                for d, lookup in enumerate(lookups, start=1):
-                    column = fields[d :: width + 1]
-                    columns[d - 1].append(
-                        np.fromiter(map(lookup.__getitem__, column), np.int64, len(column))
-                    )
-            except FormatError:
-                break
-            if first is None:
-                first = (before + 1 + int(np.searchsorted(ends, starts[0])), width)
-        else:  # no block was refused
-            return [np.concatenate(blocks) for blocks in columns], lookups
-    _raise_first_error(block, before, first)
+    # Line structure from the bytes: no byte below 0x80 occurs
+    # inside a UTF-8 multibyte sequence.
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, len(block))
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    comma_at = np.flatnonzero(raw == ord(","))
+    upto = np.searchsorted(comma_at, ends)
+    commas = np.diff(upto, prepend=0)
+    body = text[:-1] if text.endswith("\n") else text
+    if commas.all():
+        records = body.replace("\n", ",")
+    else:  # a line without a comma must be blank
+        texts = body.split("\n")
+        if any(texts[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
+            return None
+        records = ",".join(line for line, n in zip(texts, commas.tolist()) if n)
+        kept = commas != 0
+        starts, upto, commas = starts[kept], upto[kept], commas[kept]
+        if not commas.size:
+            return []
+    if not lookups:  # commas per record, fixed by the first one
+        if not MIN_ARITY <= commas[0] <= MAX_ARITY:
+            return None
+        lookups.extend(_Codes() for _ in range(commas[0]))
+    width = len(lookups)
+    if (commas != width).any():
+        return None
+    fields = records.split(",")
+    quote_at = np.flatnonzero(raw == ord('"'))
+    try:  # _clean_field raises FormatError for a bad quote
+        if quote_at.size:
+            # An id with no quote, or with two as its first and last
+            # byte, passes _clean_field; any other id goes through it.
+            id_end = comma_at[upto - commas]
+            quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
+            plain = (quotes == 0) | (
+                (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
+            )
+            for i in np.flatnonzero(~plain).tolist():
+                _clean_field(fields[i * (width + 1)], 0)
+        return [
+            np.fromiter(map(lookup.__getitem__, fields[d :: width + 1]), np.int64, commas.size)
+            for d, lookup in enumerate(lookups, start=1)
+        ]
+    except FormatError:
+        return None
 
 
 def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> ContingencyTable:
@@ -181,11 +166,24 @@ def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> Continge
     describe the data and name no file; the command line prefixes the
     file's path.
     """
-    columns, lookups = _label_columns(path)
-    if not lookups:
+    lookups: list[_Codes] = []
+    blocks: list[list[np.ndarray]] = []  # each block's label columns
+    lines = 0  # lines read so far
+    first: tuple[int, int] | None = None  # line and arity of the first record
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK) + fh.readline():
+            columns = _block_columns(block, lookups)
+            if columns is None:
+                _raise_first_error(block, lines, first)
+            if columns:
+                blocks.append(columns)
+                if first is None:  # the lines before its first comma are blank
+                    first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), len(lookups))
+            lines += block.count(b"\n") + (not block.endswith(b"\n"))
+    if not blocks:
         raise EmptyDatasetError("no case records")
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
-    codes, counts = _group(alphabets, columns)
+    codes, counts = _group(alphabets, [np.concatenate(column) for column in zip(*blocks)])
     if drop_empty:
         # A kept cell's first record is kept: cells and labels keep their order.
         kept = np.logical_and.reduce(

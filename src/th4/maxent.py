@@ -168,18 +168,18 @@ def ipf_fit(
     # The fitted AB, AC and BC margins are x * (y @ z.T), y * (x @ z)
     # and z * (x.T @ y); each step divides its margin by the product.
     yz, xy = y @ z.T, x.T @ y
-    error = max(_deviation(x * yz, m_ab), _deviation(y * (x @ z), m_ac), _deviation(z * xy, m_bc))
     iterations = 0
-    while error > tolerance and iterations < max_iterations:
+    while (
+        error := max(
+            _deviation(x * yz, m_ab), _deviation(y * (x @ z), m_ac), _deviation(z * xy, m_bc)
+        )
+    ) > tolerance and iterations < max_iterations:
         x = _scaled(m_ab, yz)
         y = _scaled(m_ac, x @ z)
         xy = x.T @ y
         z = _scaled(m_bc, xy)
         iterations += 1
         yz = y @ z.T
-        error = max(
-            _deviation(x * yz, m_ab), _deviation(y * (x @ z), m_ac), _deviation(z * xy, m_bc)
-        )
 
     factors = (x, y, z)
     return IpfResult(

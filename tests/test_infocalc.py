@@ -16,7 +16,6 @@ from th4.infocalc import (
     T_SCHEMA,
     _chain_order,
     _chains,
-    _entropies,
     _exact_multiples,
     _full_reports,
     _grouped_entropies,
@@ -370,7 +369,8 @@ def subset_requests(draw):
 def test_partial_subset_requests_match_the_dict_marginals(case):
     table, subsets, by, (a, b, c) = case
     h = {dims: dict_marginal_entropy(table, dims) for dims in all_subsets(table.arity)}
-    assert _entropies(table, subsets) == {dims: h[dims] for dims in subsets}
+    [(_, _, whole)] = _grouped_entropies(table, subsets)
+    assert whole == {dims: h[dims] for dims in subsets}
     for dims in subsets:
         assert entropy(table, dims) == h[dims]
         if len(dims) >= 2:
@@ -380,14 +380,11 @@ def test_partial_subset_requests_match_the_dict_marginals(case):
     assert conditional_transmission(table, a, b, c) == expected
     # Within each group of the cells by their label on `by`, H equals the
     # dict marginal's of that group's own table.
-    codes, n, grouped = _grouped_entropies(table, subsets, by)
-    assert codes == sorted(codes) and list(grouped) == subsets
+    codes, n, grouped = zip(*_grouped_entropies(table, subsets, by))
+    assert list(codes) == sorted(codes) and all(list(hs) == subsets for hs in grouped)
     parts = [(None, table)] if by is None else oracles.partition(table, by)
     labels = [None] * len(codes) if by is None else [table.alphabets[by][i] for i in codes]
-    assert {
-        label: (n_g, {dims: grouped[dims][g] for dims in subsets})
-        for g, (label, n_g) in enumerate(zip(labels, n))
-    } == {
+    assert {label: (n_g, hs) for label, n_g, hs in zip(labels, n, grouped)} == {
         label: (part.total, {dims: dict_marginal_entropy(part, dims) for dims in subsets})
         for label, part in parts
     }

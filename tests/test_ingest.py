@@ -353,6 +353,21 @@ def test_load_table_on_alphabets_beyond_the_key_limit(tmp_path):
     assert got == outcome(oracles.reference_table, path)
 
 
+def test_only_the_refused_block_is_checked_again(tmp_path, monkeypatch):
+    # 16 bytes, then on to the next newline: lines 1-4 (two blank), 5-7,
+    # 8-10 and 11-13, whose line 12 has too few fields.
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    path = tmp_path / "cases.txt"
+    path.write_bytes(b"\n \n" + b"a,1,2,3\n" * 9 + b"b,1,2\n" + b"a,1,2,3\n" * 3)
+    with mock.patch.object(
+        ingest, "_raise_first_error", wraps=ingest._raise_first_error
+    ) as locate, pytest.raises(FormatError) as exc:
+        load_table(path)
+    assert exc.value.line_number == 12
+    # That block, the 10 lines before it, and the first record's line and arity.
+    locate.assert_called_once_with(b"a,1,2,3\nb,1,2\na,1,2,3\n", 10, (3, 3))
+
+
 @pytest.mark.parametrize("block", [ingest._BLOCK, 1, 16])
 def test_a_decode_error_wins_over_a_later_error(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "_BLOCK", block)
