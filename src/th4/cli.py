@@ -34,10 +34,9 @@ from .decompose import DecompositionResult, decompose_by_dimension
 from .errors import InputDataError, NotConvergedError, TableTooLargeError
 from .infocalc import (
     DIM_NAMES,
-    H_SCHEMA,
-    T_SCHEMA,
     EntropyReport,
     _full_reports,
+    _lattice,
     full_report,
     parse_subset,
     subset_name,
@@ -52,10 +51,14 @@ EXIT_USAGE = 2  # also the exit code of click's own usage failures
 EXIT_DATA_ERROR = 3
 EXIT_NOT_CONVERGED = 4
 
-SCHEMA_COLUMNS = tuple(f"H_{subset_name(s)}" for s in H_SCHEMA) + tuple(
-    f"T_{subset_name(s)}" for s in T_SCHEMA
+# The one report layout, which the CSV row, the listing and --json read:
+# an H block and a T block, from the report attribute of each name. Each
+# lists subsets of the four dimensions, smallest first, lexicographic
+# within a size; 3-dimension data fill the same 26 slots, 0 in each Z slot.
+SCHEMA = {"h": _lattice((0, 1, 2, 3)), "t": _lattice((0, 1, 2, 3), 2)}
+CSV_HEADER = "label,n_cases,arity," + ",".join(
+    f"{b.upper()}_{subset_name(s)}" for b, subsets in SCHEMA.items() for s in subsets
 )
-CSV_HEADER = "label,n_cases,arity," + ",".join(SCHEMA_COLUMNS)
 DECOMP_HEADER = "group,n,weight,T_group,contribution,reduction"
 
 # batch computes its reports a chunk of files at a time, once the tables
@@ -78,9 +81,16 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _schema(report: EntropyReport) -> dict[str, dict[tuple[int, ...], float]]:
+    """The report's SCHEMA blocks, in order, 0.0 in each slot its data lacks."""
+    return {
+        b: {s: getattr(report, b).get(s, 0.0) for s in subsets} for b, subsets in SCHEMA.items()
+    }
+
+
 def _csv_row(label: str, report: EntropyReport, precision: int, full_precision: bool) -> str:
     """One results row: label, case count, arity, then the 26 schema values."""
-    values = report.schema_values()
+    values = [v for block in _schema(report).values() for v in block.values()]
     if full_precision:
         rendered = [repr(v) for v in values]
     else:
@@ -143,29 +153,19 @@ def _create(path: Path, data: bytes) -> bool:
 
 
 def render_listing(label: str, report: EntropyReport, precision: int) -> str:
-    values = report.schema_values()
-    names = [f"H({subset_name(s)})" for s in H_SCHEMA] + [
-        f"T({subset_name(s)})" for s in T_SCHEMA
-    ]
-    lines = [f"{label}: {report.n_cases} cases, {report.arity} dimensions, values in bits", ""]
-    for name, value in zip(names, values):
-        lines.append(f"{name:<9}{format_value(value, precision):>10}")
-        if name == "H(WXYZ)":
-            lines.append("")
+    lines = [f"{label}: {report.n_cases} cases, {report.arity} dimensions, values in bits"]
+    for b, block in _schema(report).items():
+        lines.append("")
+        for s, value in block.items():
+            name = f"{b.upper()}({subset_name(s)})"
+            lines.append(f"{name:<9}{format_value(value, precision):>10}")
     return "\n".join(lines) + "\n"
 
 
 def report_json(label: str, report: EntropyReport) -> str:
-    values = report.schema_values()
-    h_block = {subset_name(s): v for s, v in zip(H_SCHEMA, values[: len(H_SCHEMA)])}
-    t_block = {subset_name(s): v for s, v in zip(T_SCHEMA, values[len(H_SCHEMA):])}
-    doc = {
-        "label": label,
-        "n_cases": report.n_cases,
-        "arity": report.arity,
-        "h": h_block,
-        "t": t_block,
-    }
+    doc = {"label": label, "n_cases": report.n_cases, "arity": report.arity}
+    for b, block in _schema(report).items():
+        doc[b] = {subset_name(s): v for s, v in block.items()}
     return json.dumps(doc, indent=2)
 
 

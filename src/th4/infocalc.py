@@ -47,13 +47,6 @@ def _lattice(dims: tuple[int, ...], min_size: int = 1) -> list[tuple[int, ...]]:
     return [u for size in range(min_size, len(dims) + 1) for u in combinations(dims, size)]
 
 
-# Fixed output schema: every subset of the four dimensions, smallest
-# first, lexicographic within each size. Reports from 3-dimension data
-# occupy the same 26 slots with zeros in every z-involving entry.
-H_SCHEMA: tuple[tuple[int, ...], ...] = tuple(_lattice((0, 1, 2, 3)))
-T_SCHEMA: tuple[tuple[int, ...], ...] = tuple(_lattice((0, 1, 2, 3), 2))
-
-
 def subset_name(subset: Iterable[int]) -> str:
     """Display name of a dimension subset, e.g. (0, 2) -> "WY"."""
     return "".join(DIM_NAMES[d] for d in sorted(subset)).upper()
@@ -252,16 +245,6 @@ class EntropyReport:
     n_cases: int
     h: Mapping[tuple[int, ...], float]
     t: Mapping[tuple[int, ...], float]
-
-    def schema_values(self) -> tuple[float, ...]:
-        """The 26 values of the fixed 4-dimension schema, H block then T block.
-
-        For 3-dimension data every entry involving the absent fourth
-        dimension is exactly 0.
-        """
-        hs = tuple(self.h.get(s, 0.0) for s in H_SCHEMA)
-        ts = tuple(self.t.get(s, 0.0) for s in T_SCHEMA)
-        return hs + ts
 
 
 def full_report(table: ContingencyTable) -> EntropyReport:

@@ -38,13 +38,12 @@ import numpy as np
 
 def normalize_subset(subset: Iterable[int], arity: int) -> tuple[int, ...]:
     """Validate a dimension-index set and return it sorted ascending."""
-    dims = tuple(sorted(set(subset)))
+    given = tuple(subset)  # an iterator is read once, here
+    dims = tuple(sorted(set(given)))
     if not dims:
         raise ValueError("dimension subset must be non-empty")
     if dims[0] < 0 or dims[-1] >= arity:
-        raise ValueError(
-            f"dimension index out of range for {arity}-dimension data: {tuple(subset)}"
-        )
+        raise ValueError(f"dimension index out of range for {arity}-dimension data: {given}")
     return dims
 
 

@@ -54,7 +54,122 @@ class TestFormatValue:
         assert format_value(value, precision) == expected
 
 
+# The whole `report` listing and --json document of the two golden files:
+# a blank line before each block, names padded to 9 and values to 10,
+# and every one of the 15 H and 11 T slots, zeros in the Z slots of
+# 3-dimension data, in schema order.
+GOLDEN4_LISTING = """\
+golden4.txt: 4 cases, 4 dimensions, values in bits
+
+H(W)           0.81
+H(X)           1.00
+H(Y)           1.50
+H(Z)           1.00
+H(WX)          1.50
+H(WY)          2.00
+H(WZ)          1.50
+H(XY)          1.50
+H(XZ)          2.00
+H(YZ)          2.00
+H(WXY)         2.00
+H(WXZ)         2.00
+H(WYZ)         2.00
+H(XYZ)         2.00
+H(WXYZ)        2.00
+
+T(WX)          0.31
+T(WY)          0.31
+T(WZ)          0.31
+T(XY)          1.00
+T(XZ)          0.00
+T(YZ)          0.50
+T(WXY)         0.31
+T(WXZ)        -0.19
+T(WYZ)        -0.19
+T(XYZ)         0.00
+T(WXYZ)       -0.19
+"""
+GOLDEN3_LISTING = """\
+golden3.txt: 6 cases, 3 dimensions, values in bits
+
+H(W)           0.00
+H(X)           0.92
+H(Y)           1.79
+H(Z)           0.00
+H(WX)          0.92
+H(WY)          1.79
+H(WZ)          0.00
+H(XY)          1.79
+H(XZ)          0.00
+H(YZ)          0.00
+H(WXY)         1.79
+H(WXZ)         0.00
+H(WYZ)         0.00
+H(XYZ)         0.00
+H(WXYZ)        0.00
+
+T(WX)          0.00
+T(WY)          0.00
+T(WZ)          0.00
+T(XY)          0.92
+T(XZ)          0.00
+T(YZ)          0.00
+T(WXY)         0.00
+T(WXZ)         0.00
+T(WYZ)         0.00
+T(XYZ)         0.00
+T(WXYZ)        0.00
+"""
+G4_T = 0.31127812445913283
+G4_NEG = -0.18872187554086717
+GOLDEN4_JSON = {
+    "label": "golden4.txt",
+    "n_cases": 4,
+    "arity": 4,
+    "h": {
+        "W": 0.8112781244591328, "X": 1.0, "Y": 1.5, "Z": 1.0,
+        "WX": 1.5, "WY": 2.0, "WZ": 1.5, "XY": 1.5, "XZ": 2.0, "YZ": 2.0,
+        "WXY": 2.0, "WXZ": 2.0, "WYZ": 2.0, "XYZ": 2.0, "WXYZ": 2.0,
+    },
+    "t": {
+        "WX": G4_T, "WY": G4_T, "WZ": G4_T, "XY": 1.0, "XZ": 0.0, "YZ": 0.5,
+        "WXY": G4_T, "WXZ": G4_NEG, "WYZ": G4_NEG, "XYZ": 0.0, "WXYZ": G4_NEG,
+    },
+}
+G3_X = 0.9182958340544896
+G3_XY = 1.792481250360578
+GOLDEN3_JSON = {
+    "label": "golden3.txt",
+    "n_cases": 6,
+    "arity": 3,
+    "h": {
+        "W": 0.0, "X": G3_X, "Y": G3_XY, "Z": 0.0,
+        "WX": G3_X, "WY": G3_XY, "WZ": 0.0, "XY": G3_XY, "XZ": 0.0, "YZ": 0.0,
+        "WXY": G3_XY, "WXZ": 0.0, "WYZ": 0.0, "XYZ": 0.0, "WXYZ": 0.0,
+    },
+    "t": {
+        "WX": 0.0, "WY": 0.0, "WZ": 0.0, "XY": G3_X, "XZ": 0.0, "YZ": 0.0,
+        "WXY": 0.0, "WXZ": 0.0, "WYZ": 0.0, "XYZ": 0.0, "WXYZ": 0.0,
+    },
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize(
+        "golden,listing,doc",
+        [("golden4", GOLDEN4_LISTING, GOLDEN4_JSON), ("golden3", GOLDEN3_LISTING, GOLDEN3_JSON)],
+    )
+    def test_the_whole_listing_and_json(self, runner, request, tmp_path, golden, listing, doc):
+        path = request.getfixturevalue(f"{golden}_path")
+        args = ["report", "--input", str(path), "--output", str(tmp_path / "a.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output == listing
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 0
+        # String equality pins the key order and every value's repr.
+        assert result.output == json.dumps(doc, indent=2) + "\n"
+
     def test_golden_values_on_stdout_and_in_csv(self, runner, golden4_path, tmp_path):
         out = tmp_path / "runs.csv"
         result = runner.invoke(

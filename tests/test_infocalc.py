@@ -11,9 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from th4.cli import SCHEMA, _schema
 from th4.infocalc import (
-    H_SCHEMA,
-    T_SCHEMA,
     _chain_order,
     _chains,
     _exact_multiples,
@@ -29,13 +28,14 @@ from th4.infocalc import (
 )
 from th4.tables import ContingencyTable, project
 
-NAMED_SCHEMA = [f"H_{subset_name(s)}" for s in H_SCHEMA] + [
-    f"T_{subset_name(s)}" for s in T_SCHEMA
-]
-
 
 def schema_dict(report):
-    return dict(zip(NAMED_SCHEMA, report.schema_values()))
+    """The report's 26 zero-filled schema slots, by CSV column name."""
+    return {
+        f"{b.upper()}_{subset_name(s)}": v
+        for b, block in _schema(report).items()
+        for s, v in block.items()
+    }
 
 
 class TestEntropy:
@@ -180,14 +180,14 @@ class TestFullReport:
 
     def test_single_record_report_is_all_zero(self):
         report = full_report(oracles.table_from_rows([("a", "b", "c", "d")]))
-        assert set(report.schema_values()) == {0.0}
+        assert set(schema_dict(report).values()) == {0.0}
 
     def test_report_size_for_four_dimensions(self, golden4_table):
         report = full_report(golden4_table)
         assert len(report.h) == 15
         assert len(report.t) == 11
         # Smallest subsets first, lexicographic within a size.
-        assert list(report.h) == list(H_SCHEMA) and list(report.t) == list(T_SCHEMA)
+        assert list(report.h) == SCHEMA["h"] and list(report.t) == SCHEMA["t"]
         assert report.n_cases == 4
 
     def test_entropy_bounds_and_monotonicity(self):

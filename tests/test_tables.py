@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from th4.infocalc import conditional_transmission, full_report
+from th4.infocalc import conditional_transmission, entropy, full_report
 from th4.ingest import load_table
 from th4.maxent import ipf_fit
 from th4.tables import ContingencyTable, _group, _nested_sums, _stacked, merge, project
@@ -90,6 +90,12 @@ class TestProject:
         for subset in [(), (3,), (0, 1, 2, 3), (-1, 0, 1)]:
             with pytest.raises(ValueError):
                 project(golden3_table, subset)
+
+    @pytest.mark.parametrize("function", [project, entropy])
+    def test_a_refused_iterator_is_quoted_whole(self, golden3_table, function):
+        message = r"^dimension index out of range for 3-dimension data: \(0, 7\)$"
+        with pytest.raises(ValueError, match=message):
+            function(golden3_table, (d for d in (0, 7)))
 
 
 class TestMerge:
