@@ -19,13 +19,12 @@ reports stack several tables with tables._stacked (the stack merge and
 it; the rest of th4 takes the whole table.
 The requested subsets are covered by chains of nested subsets (W, WX,
 WXY), one sort of the cells per chain (tables._nested_sums), keyed on
-the grouping dimension first; a subset that spans every dimension
-together with the grouping one needs no sort, as the table's cells are
-distinct. Each H takes the term of each distinct (group, marginal
-count) pair once, times its multiplicity as four floats with that
-exact sum, and adds them with math.fsum, which is correctly rounded:
-every value equals the sum of one term per marginal cell and is
-independent of cell order.
+the grouping dimension first; the subset of every dimension but the
+grouping one needs no sort, as the table's cells are distinct. Each H
+takes the term of each distinct (group, marginal count) pair once,
+times its multiplicity as four floats with that exact sum, and adds
+them with math.fsum, which is correctly rounded: every value equals
+the sum of one term per marginal cell and is independent of cell order.
 """
 
 from __future__ import annotations
@@ -116,17 +115,18 @@ def _exact_multiples(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _distinct_pairs(
     owner: np.ndarray | None, counts: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (owner, count) pairs of marginal cells, ascending, and how
     many cells share each: cell i, of count counts[i], belongs to owner[i],
-    or every cell to one owner if `owner` is None (returned as None).
+    or every cell to owner 0 if `owner` is None.
 
     One owner is a plain np.unique of the counts. Otherwise each owner is
     packed above its count's bits, in Python ints (an object array) where
     the packed value or the counts pass int64, and np.unique sorts those.
     """
     if owner is None:
-        return None, *np.unique(counts, return_counts=True)
+        values, multiplicity = np.unique(counts, return_counts=True)
+        return np.zeros(len(values), np.int64), values, multiplicity
     bits = int(counts.max()).bit_length()
     if counts.dtype == object or int(owner.max()) + 1 << bits > 2**63:
         owner, counts = owner.astype(object), counts.astype(object)
@@ -143,15 +143,15 @@ def _grouped_entropies(
 
     One packed sort per chain of nested subsets, keyed on `by` first, gives
     every member's marginal counts in every group, and each marginal cell's
-    group follows from where the groups start. A subset that spans every
-    dimension together with `by` reads the table's (distinct) cells as they
-    are. All the H are summed exactly in one pass, as the module says.
+    group follows from where the groups start. The subset of every
+    dimension but `by` reads the table's (distinct) cells as they are. All
+    the H are summed exactly in one pass, as the module says.
     """
     if table.total < 1:
         raise ValueError("entropy of an empty table is undefined")
     codes, counts = table._codes, table._cell_counts
     sizes = [len(alphabet) for alphabet in table.alphabets]
-    every = tuple(range(table.arity))
+    cells = tuple(d for d in range(table.arity) if d != by)
     if by is None:
         lead, present, n = [], [0], [table.total]
     else:
@@ -159,16 +159,13 @@ def _grouped_entropies(
         present = np.flatnonzero(np.bincount(codes[by], minlength=sizes[by])).tolist()
         [(group_starts, n_g)] = _nested_sums([codes[by]], [sizes[by]], counts, [1])
         n = n_g.tolist()
-    grouped = len(n) > 1
     # Each subset's marginal cells, reduced as soon as they are built to
-    # their distinct (group, count) pairs (groups None for one group).
+    # their distinct (group, count) pairs.
     pairs = {}
-    spans = {every, tuple(d for d in every if d != by)}
-    for dims in subsets:
-        if dims in spans:
-            owner = np.searchsorted(present, codes[by]) if grouped else None
-            pairs[dims] = _distinct_pairs(owner, counts)
-    for members in _chains(dims for dims in subsets if dims not in spans):
+    if cells in subsets:
+        owner = None if by is None else np.searchsorted(present, codes[by])
+        pairs[cells] = _distinct_pairs(owner, counts)
+    for members in _chains(dims for dims in subsets if dims != cells):
         order = lead + _chain_order(members)
         sums = _nested_sums(
             [codes[d] for d in order],
@@ -177,14 +174,11 @@ def _grouped_entropies(
             [len(lead) + len(dims) for dims in members],
         )
         for dims, (starts, cell_sums) in zip(members, sums):
-            owner = np.searchsorted(group_starts, starts, side="right") - 1 if grouped else None
+            owner = None if by is None else np.searchsorted(group_starts, starts, "right") - 1
             pairs[dims] = _distinct_pairs(owner, cell_sums)
     # One pass over every (subset, group) pair, the i-th subset's groups i * len(n) on.
     owners, values, multiplicity = zip(*pairs.values())
-    if grouped:
-        owner = np.concatenate([i * len(n) + o for i, o in enumerate(owners)])
-    else:
-        owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    owner = np.concatenate([i * len(n) + o for i, o in enumerate(owners)])
     values, multiplicity = np.concatenate(values), np.concatenate(multiplicity)
     totals = np.array([float(size) for size in n] * len(pairs))
     p = (values / totals[owner]).astype(float, copy=False)

@@ -96,10 +96,10 @@ class _Codes(dict):
         return code
 
 
-def _block_columns(block: bytes, lookups: list[_Codes]) -> list[np.ndarray] | None:
-    """Each label column of a block of whole lines as int64 codes: [] for
-    a block of blank lines, None if a line fails a check. The file's first
-    record starts `lookups`, one per dimension.
+def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray], int] | None:
+    """A block of whole lines' label columns as int64 codes ([] if every
+    line is blank) and its line count, or None if a line fails a check.
+    The file's first record starts `lookups`, one per dimension.
     """
     # Line structure from the bytes: no byte below 0x80 occurs
     # inside a UTF-8 multibyte sequence.
@@ -126,7 +126,7 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> list[np.ndarray] | No
         kept = commas != 0
         starts, upto, commas = starts[kept], upto[kept], commas[kept]
         if not commas.size:
-            return []
+            return [], len(ends)
     if not lookups:  # commas per record, fixed by the first one
         if not MIN_ARITY <= commas[0] <= MAX_ARITY:
             return None
@@ -150,7 +150,7 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> list[np.ndarray] | No
         return [
             np.fromiter(map(lookup.__getitem__, fields[d :: width + 1]), np.int64, commas.size)
             for d, lookup in enumerate(lookups, start=1)
-        ]
+        ], len(ends)
     except FormatError:
         return None
 
@@ -172,14 +172,14 @@ def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> Continge
     first: tuple[int, int] | None = None  # line and arity of the first record
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK) + fh.readline():
-            columns = _block_columns(block, lookups)
-            if columns is None:
+            if (parsed := _block_columns(block, lookups)) is None:
                 _raise_first_error(block, lines, first)
+            columns, count = parsed
             if columns:
                 blocks.append(columns)
                 if first is None:  # the lines before its first comma are blank
                     first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), len(lookups))
-            lines += block.count(b"\n") + (not block.endswith(b"\n"))
+            lines += count
     if not blocks:
         raise EmptyDatasetError("no case records")
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)

@@ -310,8 +310,7 @@ def _trimmed(
     use, in first-appearance order."""
     kept_alphabets, kept_codes = [], []
     for alphabet, column in zip(alphabets, codes):
-        used, at = np.unique(column, return_index=True)
-        used = used[np.argsort(at)]
+        (used,), _ = _group((alphabet,), [column])
         recode = np.zeros(len(alphabet), dtype=np.int64)
         recode[used] = np.arange(len(used))
         kept_codes.append(recode[column])

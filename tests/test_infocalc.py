@@ -344,7 +344,7 @@ def subset_requests(draw):
 
 
 @given(subset_requests())
-# One label on `by`: the grouped request takes the one-group path.
+# One label on `by`: a grouped request with a single group.
 @example(
     (
         ContingencyTable.from_counts(
@@ -364,6 +364,25 @@ def subset_requests(draw):
         [(1,), (1, 2), (0, 2), (0, 1, 2)],
         0,
         (0, 1, 2),
+    )
+)
+# Every dimension with `by` set, over two groups: sorted on `by` and then
+# on every dimension, `by` again among them, like any other subset.
+@example(
+    (
+        ContingencyTable.from_counts(
+            4,
+            {
+                ("a", "b", "c", "d"): 3,
+                ("b", "b", "c", "d"): 2**70,
+                ("b", "", "c", "d"): 1,
+                ("a", "b", "", "d"): 3,
+                ("a", "", "c", ""): 2,
+            },
+        ),
+        [(0, 1, 2, 3), (1, 3), (0,), (0, 2, 3)],
+        1,
+        (3, 0, 2),
     )
 )
 def test_partial_subset_requests_match_the_dict_marginals(case):
