@@ -15,6 +15,7 @@ imports numpy. `import th4` loads no numpy, so this holds under both
 
 from __future__ import annotations
 
+import gc
 import glob as globmod
 import json
 import os
@@ -491,5 +492,17 @@ def ipf(input_path, subset, tolerance, max_iter, precision, as_json, drop_empty)
         click.echo("converged: yes")
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry of both the `th4` script and `python -m th4.cli`.
+
+    Every object alive at entry, the imported modules among them, lives
+    until exit: gc.freeze() keeps every collection, the interpreter's
+    last ones at exit included, from walking them again. Importers and
+    CliRunner call `main` and keep a plain gc.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

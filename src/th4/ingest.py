@@ -3,12 +3,19 @@
 load_table() counts a file's records straight into a ContingencyTable.
 It reads the file in blocks of whole lines and works on each block in
 columns: numpy checks every line's comma count on the bytes, each
-label column is turned into integer codes through a dict from raw field
-text to code (so each distinct spelling is cleaned once per file), and
-the cells are counted with numpy on those codes, which the table keeps.
-No record is kept and the file is read once: the first block to fail a
-check holds the file's first bad line, and only that block is checked
-again, one line at a time, to raise that line's error.
+label column is turned into integer codes, and the cells are counted
+with numpy on those codes, which the table keeps. A field of at most 8
+bytes is coded by its spelling key, its bytes read as one little-endian
+uint64 with zeros past its end. Each dimension keeps the keys it has
+seen sorted beside their codes, so a column is coded by one
+searchsorted; only a key not seen before is spelled back to text,
+cleaned, and looked up in a dict from raw field text to code (so each
+distinct spelling is cleaned once per file). A column with a wider
+field, or any column of a block holding a NUL byte (zero padding is
+not injective there), is split as text and every field looked up in
+that dict. No record is kept and the file is read once: the first
+block to fail a check holds the file's first bad line, and only that
+block is checked again, one line at a time, to raise that line's error.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import io
 import os
+from itertools import compress
 
 import numpy as np
 
@@ -39,6 +47,8 @@ MIN_ARITY = 3
 MAX_ARITY = 4
 # Bytes load_table reads at a time, before extending to the next newline.
 _BLOCK = 1 << 16
+# The low n bytes of a uint64, n = 0..8: a spelling key from the 8 bytes at a field's start.
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 def _clean_field(raw: str, line_number: int) -> str:
@@ -85,15 +95,46 @@ def _raise_first_error(block: bytes, lines: int, first: tuple[int, int] | None) 
 
 class _Codes(dict):
     """Raw field text -> code of its cleaned label, codes in first-appearance
-    order; `_clean_field` runs once per distinct spelling."""
+    order; `_clean_field` runs once per distinct spelling. `keys` lists the
+    spelling keys seen so far, sorted, and `codes` their labels' codes."""
 
     def __init__(self):
         super().__init__()
         self.labels: dict[str, int] = {}
+        # No key is all 0xff bytes, which UTF-8 never holds: every key sorts before it.
+        self.keys = np.array([2**64 - 1], np.uint64)
+        self.codes = np.array([-1])
 
     def __missing__(self, raw: str) -> int:
         code = self[raw] = self.labels.setdefault(_clean_field(raw, 0), len(self.labels))
         return code
+
+    def coded(self, keys: np.ndarray) -> np.ndarray:
+        """Codes of a column of spelling keys. A key not seen before is
+        spelled back from its bytes and looked up as text."""
+        if self.keys.size == 1:  # only the sentinel: every key is new
+            codes, new = np.empty(keys.size, np.int64), np.ones(keys.size, bool)
+        else:
+            at = np.searchsorted(self.keys, keys)
+            codes, new = self.codes[at], self.keys[at] != keys
+        if new.any():
+            added = keys[new]
+            fresh = np.sort(added)
+            fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+            inverse = np.searchsorted(fresh, added)
+            first = np.full(fresh.size, added.size)
+            np.minimum.at(first, inverse, np.arange(added.size))
+            order = first.argsort()  # new labels get codes in first-appearance order
+            fresh_codes = np.empty(fresh.size, np.int64)
+            fresh_codes[order] = [
+                self[key.to_bytes(8, "little").rstrip(b"\0").decode()]
+                for key in fresh[order].tolist()
+            ]
+            codes[new] = fresh_codes[inverse]
+            merged = np.concatenate((self.keys, fresh))
+            sort = merged.argsort()
+            self.keys, self.codes = merged[sort], np.concatenate((self.codes, fresh_codes))[sort]
+        return codes
 
 
 def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray], int] | None:
@@ -111,22 +152,19 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray
         text = block.decode("utf-8")
     except UnicodeDecodeError:
         return None
+    lines = ends.size
     starts = np.concatenate(([0], ends[:-1] + 1))
     comma_at = np.flatnonzero(raw == ord(","))
     upto = np.searchsorted(comma_at, ends)
     commas = np.diff(upto, prepend=0)
-    body = text[:-1] if text.endswith("\n") else text
-    if commas.all():
-        records = body.replace("\n", ",")
-    else:  # a line without a comma must be blank
-        texts = body.split("\n")
-        if any(texts[i].strip() for i in np.flatnonzero(commas == 0).tolist()):
+    kept = commas != 0
+    if not kept.all():  # a line without a comma must be blank
+        blank = zip(starts[~kept].tolist(), ends[~kept].tolist())
+        if any(block[a:b].decode().strip() for a, b in blank):
             return None
-        records = ",".join(line for line, n in zip(texts, commas.tolist()) if n)
-        kept = commas != 0
-        starts, upto, commas = starts[kept], upto[kept], commas[kept]
+        starts, ends, commas = starts[kept], ends[kept], commas[kept]
         if not commas.size:
-            return [], len(ends)
+            return [], lines
     if not lookups:  # commas per record, fixed by the first one
         if not MIN_ARITY <= commas[0] <= MAX_ARITY:
             return None
@@ -134,23 +172,38 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray
     width = len(lookups)
     if (commas != width).any():
         return None
-    fields = records.split(",")
+    # Each comma is one of a record's `width`: label d of a record runs
+    # from cuts[d - 1] + 1 to cuts[d], and cuts[0] ends its id.
+    cuts = [*comma_at.reshape(-1, width).T, ends]
     quote_at = np.flatnonzero(raw == ord('"'))
+    spelled = None if b"\0" in block else np.ndarray(len(block) + 1, "<u8", block + bytes(8), 0, 1)
+    fields = None
     try:  # _clean_field raises FormatError for a bad quote
         if quote_at.size:
             # An id with no quote, or with two as its first and last
             # byte, passes _clean_field; any other id goes through it.
-            id_end = comma_at[upto - commas]
-            quotes = np.searchsorted(quote_at, id_end) - np.searchsorted(quote_at, starts)
+            quotes = np.searchsorted(quote_at, cuts[0]) - np.searchsorted(quote_at, starts)
             plain = (quotes == 0) | (
-                (quotes == 2) & (raw[starts] == ord('"')) & (raw[id_end - 1] == ord('"'))
+                (quotes == 2) & (raw[starts] == ord('"')) & (raw[cuts[0] - 1] == ord('"'))
             )
             for i in np.flatnonzero(~plain).tolist():
-                _clean_field(fields[i * (width + 1)], 0)
-        return [
-            np.fromiter(map(lookup.__getitem__, fields[d :: width + 1]), np.int64, commas.size)
-            for d, lookup in enumerate(lookups, start=1)
-        ], len(ends)
+                _clean_field(block[starts[i] : cuts[0][i]].decode(), 0)
+        columns = []
+        for d, lookup in enumerate(lookups, start=1):
+            lo = cuts[d - 1] + 1
+            size = cuts[d] - lo
+            if spelled is not None and size.max() <= 8:
+                columns.append(lookup.coded(spelled[lo] & _MASKS[size]))
+                continue
+            if fields is None:  # a wide field or a NUL byte: split the text
+                body = text[:-1] if text.endswith("\n") else text
+                if not kept.all():
+                    body = "\n".join(compress(body.split("\n"), kept.tolist()))
+                fields = body.replace("\n", ",").split(",")
+            columns.append(
+                np.fromiter(map(lookup.__getitem__, fields[d :: width + 1]), np.int64, commas.size)
+            )
+        return columns, lines
     except FormatError:
         return None
 

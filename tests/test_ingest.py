@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -192,7 +192,11 @@ def assert_same_outcome(path, drop_empty=False):
         assert not locate.called
 
 
-LABELS = ("a", "b", "", "c d", "é")
+# Fields of at most 8 bytes are coded by their bytes, wider ones as text:
+# "abcdef" spells 8 bytes quoted or padded on both sides, "abcdefgh" 8
+# bare and 10 quoted; "abcde€" is 8 bytes and "abcdef€" 9, the € across
+# the edge. A NUL byte sends its whole block to the text path.
+LABELS = ("a", "b", "", "c d", "é", "abcdef", "abcdefgh", "abcde€", "abcdef€", "a\x00")
 
 
 @st.composite
@@ -247,8 +251,14 @@ def case_file(draw):
     return text + ending if draw(st.booleans()) else text
 
 
+# An empty last label at the end of a file with no newline: a field that
+# starts at the block's end.
+EMPTY_LAST_LABEL = example(content=b"a,1,2,3\nb,1,2,", drop_empty=False)
+
+
 @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case_file(), st.booleans())
+@EMPTY_LAST_LABEL
 def test_load_table_matches_record_path(tmp_path, content, drop_empty):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
@@ -263,6 +273,7 @@ def tiny_blocks(request, monkeypatch):
 
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case_file(), st.booleans())
+@EMPTY_LAST_LABEL
 def test_load_table_matches_record_path_in_tiny_blocks(tmp_path, tiny_blocks, content, drop_empty):
     path = tmp_path / "cases.txt"
     path.write_bytes(content)
@@ -334,6 +345,41 @@ def test_load_table_checks_the_id_of_a_repeated_tail(tmp_path):
     with pytest.raises(FormatError) as exc:
         load_table(path)
     assert exc.value.line_number == 2
+
+
+def test_one_dimension_coded_by_bytes_and_by_text(tmp_path, monkeypatch):
+    # 16 bytes, then on to the next newline: blocks of lines 1-3, 4-5 and
+    # 6-7. The first block's narrow fields are all coded by their bytes.
+    # In the second, w's wide new label sends that column to the text
+    # path, where a quoted "x" meets the label its bare spelling coded.
+    # The third codes w by its bytes again, from a spelling new to them.
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    path = tmp_path / "cases.txt"
+    path.write_bytes(
+        b"a,x,p,q\nb,y,p,q\nc,x,p,r\n"
+        b'd,"x",p,q\ne,a label wider than 8,p,q\n'
+        b'f, "x" ,p,q\ng,y,p,q\n'
+    )
+    keyed = []  # the size of each column coded by its bytes
+    coded = ingest._Codes.coded
+    monkeypatch.setattr(
+        ingest._Codes, "coded", lambda self, keys: keyed.append(keys.size) or coded(self, keys)
+    )
+    assert_same_outcome(path)
+    assert keyed == [3, 3, 3, 2, 2, 2, 2, 2]
+    assert load_table(path).alphabets[0] == ("x", "y", "a label wider than 8")
+
+
+@pytest.mark.parametrize("block", [ingest._BLOCK, 16])
+def test_a_bad_label_quote_coded_by_its_bytes_names_its_line(tmp_path, monkeypatch, block):
+    # At 16 bytes a block, line 4 opens the second block, whose keys
+    # meet those the first one stored.
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    path = tmp_path / "cases.txt"
+    path.write_bytes(b'a,x,p,q\nb,y,p,q\nc,x,p,q\nd,"x,p,q\ne,x,p,q\n')
+    with pytest.raises(FormatError, match="""^line 4: unbalanced quote in field '"x'$""") as exc:
+        load_table(path)
+    assert exc.value.line_number == 4
 
 
 def test_load_table_on_alphabets_beyond_the_key_limit(tmp_path):

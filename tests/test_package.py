@@ -1,7 +1,8 @@
-"""The lazy package import and the CLI's BLAS thread setting.
+"""The lazy package import, the CLI's BLAS thread setting and its entry.
 
 Each test runs in a fresh interpreter, since what it checks is what an
-import does to a process that has not loaded th4 or numpy yet.
+import or a process entry does to a process that has not loaded th4 or
+numpy yet.
 """
 
 from __future__ import annotations
@@ -12,21 +13,28 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 import th4
+from th4.cli import main
 
 SRC = pathlib.Path(th4.__file__).resolve().parent.parent
 
 
-def child(code: str, **env: str) -> str:
-    """stdout of `python -c code` with th4 importable, OPENBLAS_NUM_THREADS
-    unset unless given in `env`."""
+def spawn(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """`python *args` with th4 importable, OPENBLAS_NUM_THREADS unset
+    unless given in `env`."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
     environ.update(env)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=False
+    return subprocess.run(
+        [sys.executable, *args], env=environ, capture_output=True, text=True, check=False
     )
+
+
+def child(code: str, **env: str) -> str:
+    """stdout of `python -c code`, which must succeed."""
+    proc = spawn("-c", code, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -86,3 +94,37 @@ def test_a_fit_after_cli_import_starts_no_blas_threads():
 def test_caller_thread_setting_wins():
     code = "import os, th4.cli, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert child(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # Importers, and CliRunner with them, keep a plain gc.
+    assert child("import gc, th4.cli; print(gc.get_freeze_count())") == "0"
+    code = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['th4', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('th4.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    print(gc.get_freeze_count() > 0)"
+    )
+    assert child(code).splitlines()[-1] == "True"
+
+
+def test_module_entry_matches_the_click_app(golden4_path, tmp_path):
+    args = ["report", "--input", str(golden4_path), "--output"]
+    proc = spawn("-m", "th4.cli", *args, str(tmp_path / "entry.csv"))
+    result = CliRunner().invoke(main, [*args, str(tmp_path / "runner.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, result.stdout, "")
+    assert result.exit_code == 0
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "runner.csv").read_bytes()
+
+
+def test_module_entry_on_a_bad_file_exits_3(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"a,1,2,3\nb,1,2\n")
+    args = ["report", "--input", str(path), "--output", str(tmp_path / "out.csv")]
+    proc = spawn("-m", "th4.cli", *args)
+    result = CliRunner().invoke(main, args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", result.stderr)
+    assert result.exit_code == 3
+    assert len(proc.stderr.splitlines()) == 1
