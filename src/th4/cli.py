@@ -22,8 +22,9 @@ import os
 import sys
 import threading
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 import click
 
@@ -43,9 +44,9 @@ from .infocalc import (
     subset_name,
     transmission,
 )
-from .ingest import load_table
+from .ingest import _Cells, _read_cells, _stack, load_table
 from .maxent import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, ipf_fit, krippendorff_interaction
-from .tables import ContingencyTable, project
+from .tables import project
 
 EXIT_IO_ERROR = 1
 EXIT_USAGE = 2  # also the exit code of click's own usage failures
@@ -65,6 +66,8 @@ DECOMP_HEADER = "group,n,weight,T_group,contribution,reduction"
 # batch computes its reports a chunk of files at a time, once the tables
 # it holds reach this many cells; the bound keeps its memory flat.
 _CHUNK_CELLS = 2**13
+
+_Loaded = TypeVar("_Loaded")
 
 
 def format_value(value: float, precision: int) -> str:
@@ -205,14 +208,16 @@ def _load(
     drop_empty: bool,
     keep_going: bool = False,
     before_failure: Callable[[], None] = lambda: None,
-) -> ContingencyTable | None:
-    """load_table, or exit: 1 for an unreadable file, 3 for bad data.
+    read: Callable[..., _Loaded] = load_table,
+) -> _Loaded | None:
+    """read(path, drop_empty=drop_empty), load_table by default, or exit: 1
+    for an unreadable file, 3 for bad data.
 
     With keep_going, bad data is a warning and gives None instead.
     before_failure runs ahead of any such message.
     """
     try:
-        return load_table(path, drop_empty=drop_empty)
+        return read(path, drop_empty=drop_empty)
     except OSError as exc:
         before_failure()
         _fail(EXIT_IO_ERROR, f"cannot read {path}: {exc.strerror or exc}")
@@ -233,8 +238,9 @@ def _append(path: Path, row: str) -> None:
         _fail(EXIT_IO_ERROR, f"{path}: {exc}")
 
 
-def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
-    """Matched files in sorted path order, one per real file."""
+def _expand_inputs(inputs: tuple[str, ...], results: str) -> list[str]:
+    """Matched files in sorted path order, one per real file, none of them
+    the real file `results`."""
     found: set[str] = set()
     for item in inputs:
         path = Path(item)
@@ -247,6 +253,7 @@ def _expand_inputs(inputs: tuple[str, ...]) -> list[str]:
     unique: dict[str, str] = {}
     for p in sorted(found):
         unique.setdefault(os.path.realpath(p), p)
+    unique.pop(results, None)
     return list(unique.values())
 
 
@@ -337,8 +344,7 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
     with the same name are refused. After the last file, one summary
     line (files, rows appended, files skipped) goes to stderr.
     """
-    results = os.path.realpath(output_path)
-    files = [p for p in _expand_inputs(inputs) if os.path.realpath(p) != results]
+    files = _expand_inputs(inputs, os.path.realpath(output_path))
     if not files:
         raise click.UsageError(f"no input files matched {' '.join(inputs)!r}")
     by_name: dict[str, str] = {}
@@ -351,22 +357,34 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
                 f"{first} and {path} share the file name {name!r}, "
                 "which would label two rows alike",
             )
-    held: list[tuple[str, ContingencyTable]] = []  # loaded, row not yet appended
+    # The files of a chunk are read with one set of label coders, by arity,
+    # so that the codes of their cells index the same alphabets.
+    coders: dict[int, list] = {}
+    held: list[tuple[str, _Cells]] = []  # loaded, row not yet appended
 
     def flush() -> None:
-        for (name, _), rep in zip(held, _full_reports([table for _, table in held])):
+        reports: list[EntropyReport] = [None] * len(held)
+        for arity, lookups in coders.items():
+            files = [i for i, (_, (codes, _)) in enumerate(held) if len(codes) == arity]
+            if files:  # else only a refused file had this arity
+                stack = _stack(lookups, [held[i][1] for i in files])
+                for i, rep in zip(files, _full_reports(stack, arity)):
+                    reports[i] = rep
+        for (name, _), rep in zip(held, reports):
             _append(output_path, _csv_row(name, rep, precision, full_precision))
             click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
         held.clear()
+        coders.clear()
 
     skipped = 0
+    read = partial(_read_cells, coders=coders)
     for name, path in by_name.items():
-        table = _load(path, drop_empty, keep_going, before_failure=flush)
-        if table is None:
+        loaded = _load(path, drop_empty, keep_going, before_failure=flush, read=read)
+        if loaded is None:
             skipped += 1
             continue
-        held.append((name, table))
-        if sum(len(t.counts) for _, t in held) >= _CHUNK_CELLS:
+        held.append((name, loaded))
+        if sum(len(counts) for _, (_, counts) in held) >= _CHUNK_CELLS:
             flush()
     flush()
     appended = len(by_name) - skipped
@@ -498,10 +516,11 @@ def run() -> None:
     Every object alive at entry, the imported modules among them, lives
     until exit: gc.freeze() keeps every collection, the interpreter's
     last ones at exit included, from walking them again. Importers and
-    CliRunner call `main` and keep a plain gc.
+    CliRunner call `main` and keep a plain gc. The program name is set,
+    so that click's usage errors say th4 under `python -m th4.cli` too.
     """
     gc.freeze()
-    main()
+    main(prog_name="th4")
 
 
 if __name__ == "__main__":

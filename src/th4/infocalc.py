@@ -13,10 +13,11 @@ indicating a net reduction of uncertainty (synergy).
 
 Every H is computed by one kernel, _grouped_entropies, for the whole
 table or within each group of its cells by their label on a grouping
-dimension. decompose groups by a dimension of the data, and batch's
-reports stack several tables with tables._stacked (the stack merge and
-== use), add a dimension holding each cell's table index and group by
-it; the rest of th4 takes the whole table.
+dimension. decompose groups by a dimension of the data; batch stacks
+the cells of a chunk's files, which its shared label coders give one
+set of alphabets (ingest._stack), with a last dimension holding each
+cell's file index, and groups by that (_full_reports); the rest of th4
+takes the whole table.
 The requested subsets are covered by chains of nested subsets (W, WX,
 WXY), one sort of the cells per chain (tables._nested_sums), keyed on
 the grouping dimension first; the subset of every dimension but the
@@ -36,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tables import ContingencyTable, _nested_sums, _stacked, normalize_subset
+from .tables import ContingencyTable, _nested_sums, normalize_subset
 
 DIM_NAMES = "wxyz"
 
@@ -243,29 +244,24 @@ class EntropyReport:
 
 def full_report(table: ContingencyTable) -> EntropyReport:
     """Compute H for every subset and T for every subset of size >= 2."""
-    return _full_reports([table])[0]
+    return _full_reports(table)[0]
 
 
-def _full_reports(tables: Sequence[ContingencyTable]) -> list[EntropyReport]:
-    """full_report of each table, from one kernel call per arity: a lone
-    table on its own, several stacked and grouped by their table index."""
-    by_arity: dict[int, list[int]] = {}
-    for i, table in enumerate(tables):
-        if table.total < 1:  # a stacked empty table would have no group
-            raise ValueError("entropy of an empty table is undefined")
-        by_arity.setdefault(table.arity, []).append(i)
-    reports: list[EntropyReport] = [None] * len(tables)
-    for arity, members in by_arity.items():
-        dims = tuple(range(arity))
-        if len(members) == 1:
-            stack, by = tables[members[0]], None
-        else:
-            views = [tables[i].counts for i in members]
-            alphabets, columns, counts = _stacked(views)
-            columns.append(np.repeat(np.arange(len(views)), list(map(len, views))))
-            alphabets += (tuple(range(len(views))),)  # each cell's table index
-            stack, by = ContingencyTable._from_codes(alphabets, tuple(columns), counts), arity
-        for i, (_, _, h) in zip(members, _grouped_entropies(stack, _lattice(dims), by)):
-            t = {subset: _transmission_from_entropies(subset, h) for subset in _lattice(dims, 2)}
-            reports[i] = EntropyReport(arity=arity, n_cases=tables[i].total, h=h, t=t)
-    return reports
+def _full_reports(table: ContingencyTable, by: int | None = None) -> list[EntropyReport]:
+    """full_report of the table, from one kernel call; or, with `by` its
+    last dimension, that of each group of its cells by their code on it,
+    in code order. Every code of that dimension's alphabet must have cells."""
+    dims = tuple(range(table.arity if by is None else by))
+    groups = _grouped_entropies(table, _lattice(dims), by)
+    if by is not None and len(groups) != len(table.alphabets[by]):
+        raise ValueError("entropy of an empty table is undefined")
+    transmitted = _lattice(dims, 2)
+    return [
+        EntropyReport(
+            arity=len(dims),
+            n_cases=n,
+            h=h,
+            t={subset: _transmission_from_entropies(subset, h) for subset in transmitted},
+        )
+        for _, n, h in groups
+    ]

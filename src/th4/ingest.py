@@ -6,16 +6,26 @@ columns: numpy checks every line's comma count on the bytes, each
 label column is turned into integer codes, and the cells are counted
 with numpy on those codes, which the table keeps. A field of at most 8
 bytes is coded by its spelling key, its bytes read as one little-endian
-uint64 with zeros past its end. Each dimension keeps the keys it has
-seen sorted beside their codes, so a column is coded by one
-searchsorted; only a key not seen before is spelled back to text,
-cleaned, and looked up in a dict from raw field text to code (so each
-distinct spelling is cleaned once per file). A column with a wider
-field, or any column of a block holding a NUL byte (zero padding is
-not injective there), is split as text and every field looked up in
+uint64 with zeros past its end. Each dimension's coder (_Codes) keeps
+the keys it has seen sorted beside their codes, and finds a column's
+keys among them by a multiplicative hash into a table of their indices,
+searching the sorted keys only for a key not in its slot. The hash
+table is built at the first probe after the keys grew, so a file read
+in one block builds none. Only a key not seen before is spelled back
+to text, cleaned, and looked up in a dict from raw field text to code
+(so each distinct spelling is cleaned once per coder). A column with a
+wider field, or any column of a block holding a NUL byte (zero padding
+is not injective there), is split as text and every field looked up in
 that dict. No record is kept and the file is read once: the first
 block to fail a check holds the file's first bad line, and only that
 block is checked again, one line at a time, to raise that line's error.
+
+load_table makes fresh coders for each file, so a table's alphabets
+are its own labels. `th4 batch` reads each chunk of files with one set
+of coders per arity (_read_cells), made at the chunk's first file and
+dropped when its rows are written: the files of a chunk learn each
+spelling once, and their cells' codes index the same alphabets, so they
+are stacked side by side as they are (_stack), with no recoding.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -49,6 +59,38 @@ MAX_ARITY = 4
 _BLOCK = 1 << 16
 # The low n bytes of a uint64, n = 0..8: a spelling key from the 8 bytes at a field's start.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# Multiplicative hashing: a key's slot is the top bits of its product
+# with 2**64 / golden ratio, in a table of at least this many slots per key.
+_GOLDEN = np.int64(0x9E3779B97F4A7C15 - 2**64)
+_SLOTS_PER_KEY = 4
+
+
+def _slot_of(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Each uint64 key's slot in a table of 2**bits. The arithmetic is
+    int64's, whose products wrap as uint64's do, with the sign bits of its
+    shift masked off: th4 runs no other uint64 multiply or shift, whose
+    code would add to every process's resident memory."""
+    return (keys.view(np.int64) * _GOLDEN >> 64 - bits) & (1 << bits) - 1
+
+
+def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """A table of 2**bits slots (bits >= 1) for sorted spelling keys that
+    end in the sentinel: each slot holds the index of a key hashed there,
+    or of the sentinel if none is."""
+    slots = np.full(1 << bits, keys.size - 1, np.intp)
+    slots[_slot_of(keys, bits)] = np.arange(keys.size)
+    return slots
+
+
+def _probe(keys: np.ndarray, slots: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """np.searchsorted(keys, needles), for sorted distinct `keys` and their
+    `_hash_slots`: a needle that is the key in its slot is at that key's
+    index, and only the rest are searched."""
+    at = slots[_slot_of(needles, slots.size.bit_length() - 1)]
+    missed = np.flatnonzero(keys[at] != needles)
+    if missed.size:
+        at[missed] = np.searchsorted(keys, needles[missed])
+    return at
 
 
 def _clean_field(raw: str, line_number: int) -> str:
@@ -96,7 +138,8 @@ def _raise_first_error(block: bytes, lines: int, first: tuple[int, int] | None) 
 class _Codes(dict):
     """Raw field text -> code of its cleaned label, codes in first-appearance
     order; `_clean_field` runs once per distinct spelling. `keys` lists the
-    spelling keys seen so far, sorted, and `codes` their labels' codes."""
+    spelling keys seen so far, sorted, and `codes` their labels' codes;
+    `slots` is their hash table, built at the first probe after they grew."""
 
     def __init__(self):
         super().__init__()
@@ -104,6 +147,7 @@ class _Codes(dict):
         # No key is all 0xff bytes, which UTF-8 never holds: every key sorts before it.
         self.keys = np.array([2**64 - 1], np.uint64)
         self.codes = np.array([-1])
+        self.slots: np.ndarray | None = None
 
     def __missing__(self, raw: str) -> int:
         code = self[raw] = self.labels.setdefault(_clean_field(raw, 0), len(self.labels))
@@ -115,7 +159,9 @@ class _Codes(dict):
         if self.keys.size == 1:  # only the sentinel: every key is new
             codes, new = np.empty(keys.size, np.int64), np.ones(keys.size, bool)
         else:
-            at = np.searchsorted(self.keys, keys)
+            if self.slots is None:
+                self.slots = _hash_slots(self.keys, (_SLOTS_PER_KEY * self.keys.size).bit_length())
+            at = _probe(self.keys, self.slots, keys)
             codes, new = self.codes[at], self.keys[at] != keys
         if new.any():
             added = keys[new]
@@ -134,13 +180,17 @@ class _Codes(dict):
             merged = np.concatenate((self.keys, fresh))
             sort = merged.argsort()
             self.keys, self.codes = merged[sort], np.concatenate((self.codes, fresh_codes))[sort]
+            self.slots = None
         return codes
 
 
-def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray], int] | None:
+def _block_columns(
+    block: bytes, lookups: list[_Codes], coders: dict[int, list[_Codes]]
+) -> tuple[list[np.ndarray], int] | None:
     """A block of whole lines' label columns as int64 codes ([] if every
     line is blank) and its line count, or None if a line fails a check.
-    The file's first record starts `lookups`, one per dimension.
+    `lookups` are the file's coders, one per dimension: its first record
+    fixes its arity and takes them from `coders`, made there if absent.
     """
     # Line structure from the bytes: no byte below 0x80 occurs
     # inside a UTF-8 multibyte sequence.
@@ -166,9 +216,12 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray
         if not commas.size:
             return [], lines
     if not lookups:  # commas per record, fixed by the first one
-        if not MIN_ARITY <= commas[0] <= MAX_ARITY:
+        arity = int(commas[0])
+        if not MIN_ARITY <= arity <= MAX_ARITY:
             return None
-        lookups.extend(_Codes() for _ in range(commas[0]))
+        if arity not in coders:
+            coders[arity] = [_Codes() for _ in range(arity)]
+        lookups.extend(coders[arity])
     width = len(lookups)
     if (commas != width).any():
         return None
@@ -208,6 +261,60 @@ def _block_columns(block: bytes, lookups: list[_Codes]) -> tuple[list[np.ndarray
         return None
 
 
+# A file's cells: per dimension their codes, and their counts.
+_Cells = tuple[tuple[np.ndarray, ...], np.ndarray]
+
+
+def _read_cells(
+    path: str | os.PathLike, coders: dict[int, list[_Codes]], drop_empty: bool
+) -> _Cells:
+    """A case-record file's cells in first-appearance order: per dimension
+    their codes by `coders[arity]`, made there if absent, and their counts.
+
+    Files read with one `coders` share it: their codes index the same
+    alphabets, which list every label of those files. With drop_empty,
+    records carrying an empty label are skipped. Raises as load_table.
+    """
+    lookups: list[_Codes] = []
+    blocks: list[list[np.ndarray]] = []  # each block's label columns
+    lines = 0  # lines read so far
+    first: tuple[int, int] | None = None  # line and arity of the first record
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK) + fh.readline():
+            if (parsed := _block_columns(block, lookups, coders)) is None:
+                _raise_first_error(block, lines, first)
+            columns, count = parsed
+            if columns:
+                blocks.append(columns)
+                if first is None:  # the lines before its first comma are blank
+                    first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), len(lookups))
+            lines += count
+    if not blocks:
+        raise EmptyDatasetError("no case records")
+    sizes = [lookup.labels for lookup in lookups]  # _group reads their lengths
+    codes, counts = _group(sizes, [np.concatenate(column) for column in zip(*blocks)])
+    if drop_empty:
+        # A kept cell's first record is kept: cells keep their order.
+        kept = np.logical_and.reduce(
+            [column != lookup.labels.get("", -1) for column, lookup in zip(codes, lookups)]
+        )
+        if not kept.any():
+            raise EmptyDatasetError("all records carry empty labels")
+        if not kept.all():
+            codes, counts = tuple(column[kept] for column in codes), counts[kept]
+    return codes, counts
+
+
+def _stack(lookups: list[_Codes], files: list[_Cells]) -> ContingencyTable:
+    """The cells of files read with `lookups`, file after file, and a last
+    dimension holding each cell's index among the files."""
+    columns = [np.concatenate(column) for column in zip(*(codes for codes, _ in files))]
+    columns.append(np.repeat(np.arange(len(files)), [len(counts) for _, counts in files]))
+    alphabets = (*(tuple(lookup.labels) for lookup in lookups), tuple(range(len(files))))
+    counts = np.concatenate([counts for _, counts in files])
+    return ContingencyTable._from_codes(alphabets, tuple(columns), counts)
+
+
 def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> ContingencyTable:
     """Read a case-record file (UTF-8) and count its label tuples.
 
@@ -219,31 +326,11 @@ def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> Continge
     describe the data and name no file; the command line prefixes the
     file's path.
     """
-    lookups: list[_Codes] = []
-    blocks: list[list[np.ndarray]] = []  # each block's label columns
-    lines = 0  # lines read so far
-    first: tuple[int, int] | None = None  # line and arity of the first record
-    with open(path, "rb") as fh:
-        while block := fh.read(_BLOCK) + fh.readline():
-            if (parsed := _block_columns(block, lookups)) is None:
-                _raise_first_error(block, lines, first)
-            columns, count = parsed
-            if columns:
-                blocks.append(columns)
-                if first is None:  # the lines before its first comma are blank
-                    first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), len(lookups))
-            lines += count
-    if not blocks:
-        raise EmptyDatasetError("no case records")
+    coders: dict[int, list[_Codes]] = {}
+    codes, counts = _read_cells(path, coders, drop_empty)
+    [lookups] = coders.values()  # every label was read from one of the file's records
     alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
-    codes, counts = _group(alphabets, [np.concatenate(column) for column in zip(*blocks)])
-    if drop_empty:
-        # A kept cell's first record is kept: cells and labels keep their order.
-        kept = np.logical_and.reduce(
-            [column != lookup.labels.get("", -1) for column, lookup in zip(codes, lookups)]
-        )
-        if not kept.any():
-            raise EmptyDatasetError("all records carry empty labels")
-        if not kept.all():
-            return _trimmed(alphabets, [column[kept] for column in codes], counts[kept])
+    if drop_empty and any("" in lookup.labels for lookup in lookups):
+        # Records were skipped: each alphabet keeps the labels of the rest.
+        return _trimmed(alphabets, codes, counts)
     return ContingencyTable._from_codes(alphabets, codes, counts)

@@ -20,8 +20,9 @@ and stay read-only, across pickle too. Parallel ingestion builds one
 table per record shard and combines them with merge(); for any
 partition of the records the merged counts equal the sequentially
 built ones. Tables are laid side by side in one place, _stacked, which
-merge, == and batch's reports (infocalc._full_reports) share: the union
-of their alphabets, each table's codes recoded into it, and the counts.
+merge and == share: the union of their alphabets, each table's codes
+recoded into it, and the counts. (batch needs no recoding: the files of
+a chunk are coded on shared alphabets as they are read.)
 """
 
 from __future__ import annotations

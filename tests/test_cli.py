@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from th4 import cli
+from th4 import cli, ingest
 from th4.cli import (
     CSV_HEADER,
     DECOMP_HEADER,
@@ -24,6 +24,7 @@ from th4.cli import (
     format_value,
     main,
 )
+from th4.ingest import load_table
 from th4.maxent import MAX_DENSE_CELLS
 
 
@@ -529,7 +530,7 @@ class TestBatch:
         write_rows(tmp_path / "a.txt", [("1", "2", "3")])
         missing = tmp_path / "gone.txt"  # matched, then removed before it is read
         monkeypatch.setattr(
-            cli, "_expand_inputs", lambda inputs: [str(tmp_path / "a.txt"), str(missing)]
+            cli, "_expand_inputs", lambda inputs, results: [str(tmp_path / "a.txt"), str(missing)]
         )
         out = tmp_path / "runs.csv"
         result = runner.invoke(main, ["batch", str(tmp_path), "--output", str(out)])
@@ -588,17 +589,14 @@ class TestBatch:
             text = "".join(",".join(("r",) + row) + "\n" for row in rows)
             path.write_text(text, encoding="utf-8")
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("drop_empty", [False, True], ids=["all-labels", "drop-empty"])
-    @pytest.mark.parametrize("keep_going", [False, True], ids=["abort", "keep-going"])
-    def test_chunked_rows_and_messages_are_the_per_file_ones(
-        self, runner, tmp_path, monkeypatch, seed, drop_empty, keep_going
-    ):
-        datadir = tmp_path / "regions"
-        self.write_random_files(datadir, seed)
-        options = ["--full-precision"] + ["--drop-empty-labels"] * drop_empty
+    @staticmethod
+    def assert_per_file_reports(runner, tmp_path, monkeypatch, datadir, options, keep_going):
+        """batch over datadir gives the same bytes with every file its own
+        chunk and with all files one chunk: the rows and lines of one
+        report run per file, up to the first bad file, or past every bad
+        file with --keep-going."""
         runs = []
-        for bound in (1, 2**40):  # every file its own chunk; all files one chunk
+        for bound in (1, 2**40):
             monkeypatch.setattr(cli, "_CHUNK_CELLS", bound)
             out = tmp_path / f"runs{bound}.csv"
             args = ["batch", str(datadir), "--output", str(out), *options]
@@ -607,8 +605,6 @@ class TestBatch:
             written = out.read_bytes() if out.exists() else None
             runs.append((written, result.stdout, result.stderr, result.output, result.exit_code))
         assert runs[0] == runs[1]
-        # The rows and lines are those of one report run per file, up to
-        # the first bad file, or past every bad file with --keep-going.
         expected, lines, exit_code = tmp_path / "expected.csv", [], 0
         for path in sorted(datadir.iterdir()):
             args = ["report", "--input", str(path), "--output", str(expected), *options]
@@ -623,6 +619,75 @@ class TestBatch:
         assert stdout == "".join(f"{line}\n" for line in lines)
         assert code == exit_code
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("drop_empty", [False, True], ids=["all-labels", "drop-empty"])
+    @pytest.mark.parametrize("keep_going", [False, True], ids=["abort", "keep-going"])
+    def test_chunked_rows_and_messages_are_the_per_file_ones(
+        self, runner, tmp_path, monkeypatch, seed, drop_empty, keep_going
+    ):
+        datadir = tmp_path / "regions"
+        self.write_random_files(datadir, seed)
+        options = ["--full-precision"] + ["--drop-empty-labels"] * drop_empty
+        self.assert_per_file_reports(runner, tmp_path, monkeypatch, datadir, options, keep_going)
+
+    # The files of a chunk share label coders. Their names sort them so:
+    # a 4-dimension file spells its labels bare; a 3-dimension one spells
+    # the same labels quoted and padded, next to a wide one and an empty
+    # one; then a 4-dimension file teaches new labels in its first lines
+    # and has a bad quote many lines on; two files follow that spell its
+    # labels, one of them with a label that appears after its first block.
+    SPELLED = {
+        "a.txt": [f"r{i},w{i % 3},x{i % 2},y{i % 5},z1" for i in range(12)],
+        "b.txt": [
+            f'r{i},"w{i % 3}", x{i % 2} ,{["y1", "", "label wider than 8"][i % 3]}'
+            for i in range(12)
+        ],
+        "c.txt": [f"r{i},new{i % 4},x1,y{i},z{i % 2}" for i in range(10)]
+        + ['bad,"new1,x1,y1,z1']
+        + [f"r{i},new1,x1,y1,z1" for i in range(4)],
+        "d.txt": [f'r{i}, "new{i % 3}" ,x{i % 2},"y{i}"' for i in range(12)] + ["late,w9,x9,y9"],
+        "e.txt": [f'r{i},"new{i % 2}",{"x1" * (i % 4 > 0)}, y{i % 3} ,"z1"' for i in range(12)],
+    }
+
+    @pytest.mark.parametrize("block", [16, 64])
+    @pytest.mark.parametrize("drop_empty", [False, True], ids=["all-labels", "drop-empty"])
+    @pytest.mark.parametrize("keep_going", [False, True], ids=["abort", "keep-going"])
+    def test_files_sharing_label_coders_give_the_per_file_rows(
+        self, runner, tmp_path, monkeypatch, block, drop_empty, keep_going
+    ):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        for name, lines in self.SPELLED.items():
+            (datadir / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        monkeypatch.setattr(ingest, "_BLOCK", block)  # each file is read in several blocks
+        options = ["--full-precision"] + ["--drop-empty-labels"] * drop_empty
+        self.assert_per_file_reports(runner, tmp_path, monkeypatch, datadir, options, keep_going)
+        # Each file alone is still read on its own alphabets.
+        for name in ("a.txt", "b.txt", "d.txt", "e.txt"):
+            path = datadir / name
+            expected = oracles.reference_table(path, drop_empty=drop_empty)
+            assert load_table(path, drop_empty=drop_empty) == expected
+
+    def test_each_chunk_codes_only_its_own_labels(self, runner, tmp_path, monkeypatch):
+        # The label coders go with each chunk, so what they hold stays
+        # bounded as the chunk's cells are.
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        for i in range(4):
+            write_rows(datadir / f"f{i}.txt", [(f"a{i}", "b", "c"), (f"a{i}x", "b", "c")])
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", 4)  # two files of two cells each
+        stacked, full_reports = [], cli._full_reports
+        monkeypatch.setattr(
+            cli, "_full_reports", lambda stack, by: stacked.append(stack) or full_reports(stack, by)
+        )
+        out = tmp_path / "runs.csv"
+        assert runner.invoke(main, ["batch", str(datadir), "--output", str(out)]).exit_code == 0
+        assert [stack.alphabets[0] for stack in stacked] == [
+            ("a0", "a0x", "a1", "a1x"),
+            ("a2", "a2x", "a3", "a3x"),
+        ]
+        assert [stack.alphabets[3] for stack in stacked] == [(0, 1), (0, 1)]
+
     @pytest.mark.parametrize("failure", ["bad data", "bad data, keep going", "unreadable"])
     def test_failure_in_a_chunk_comes_after_the_earlier_rows(
         self, runner, tmp_path, monkeypatch, failure
@@ -631,7 +696,8 @@ class TestBatch:
         write_rows(a, [("1", "2", "3")])
         write_rows(c, [("1", "2", "3"), ("1", "2", "4")])
         if failure == "unreadable":  # matched, then removed before it is read
-            monkeypatch.setattr(cli, "_expand_inputs", lambda inputs: [str(a), str(b), str(c)])
+            matched = [str(a), str(b), str(c)]
+            monkeypatch.setattr(cli, "_expand_inputs", lambda inputs, results: matched)
         else:
             b.write_text("broken,line\n", encoding="utf-8")
         assert cli._CHUNK_CELLS > 3  # the three files make one chunk

@@ -26,7 +26,7 @@ from th4.infocalc import (
     subset_name,
     transmission,
 )
-from th4.tables import ContingencyTable, project
+from th4.tables import ContingencyTable, _stacked, project
 
 
 def schema_dict(report):
@@ -445,6 +445,15 @@ def mixed_tables(draw):
     return ContingencyTable.from_counts(arity, counts)
 
 
+def stacked(tables):
+    """Tables of one arity laid side by side as batch lays a chunk's files:
+    on shared alphabets, with a last dimension holding each cell's table."""
+    alphabets, columns, counts = _stacked([table.counts for table in tables])
+    columns.append(np.repeat(np.arange(len(tables)), [len(table.counts) for table in tables]))
+    alphabets += (tuple(range(len(tables))),)
+    return ContingencyTable._from_codes(alphabets, tuple(columns), counts)
+
+
 @given(st.lists(mixed_tables(), max_size=8))
 # int64 tables whose stacked total passes 2**63.
 @example(
@@ -454,13 +463,37 @@ def mixed_tables(draw):
     ]
 )
 def test_stacked_reports_equal_the_reports_of_each_table(tables):
-    reports = _full_reports(tables)
-    expected = [full_report(table) for table in tables]
-    assert reports == expected
-    assert list(map(repr, reports)) == list(map(repr, expected))  # bits and order too
+    for arity in (3, 4):
+        members = [table for table in tables if table.arity == arity]
+        if members:
+            reports = _full_reports(stacked(members), arity)
+            expected = [full_report(table) for table in members]
+            assert reports == expected
+            assert list(map(repr, reports)) == list(map(repr, expected))  # bits and order too
 
 
 def test_stacked_reports_refuse_an_empty_table(golden3_table):
     empty = ContingencyTable.from_counts(3, {})
     with pytest.raises(ValueError, match="empty table"):
-        _full_reports([golden3_table, empty])
+        _full_reports(stacked([golden3_table, empty]), 3)
+
+
+@given(mixed_tables(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_labels_no_cell_uses_change_no_bit(table, extra, rng):
+    # A chunk's alphabets list the labels of all its files, each file's
+    # own among the others, which none of its cells use.
+    alphabets, codes = [], []
+    for alphabet, column in zip(table.alphabets, table._codes):
+        padded = [*alphabet, *(f"unused{i}" for i in range(extra))]
+        rng.shuffle(padded)
+        index = {label: i for i, label in enumerate(padded)}
+        alphabets.append(tuple(padded))
+        codes.append(np.array([index[label] for label in alphabet])[column])
+    counts = table._cell_counts
+    padded = ContingencyTable._from_codes(tuple(alphabets), tuple(codes), counts)
+    alone = ContingencyTable._from_codes(
+        (*alphabets, (0,)), (*codes, np.zeros(len(counts), np.int64)), counts
+    )
+    expected = repr(full_report(table))
+    assert repr(full_report(padded)) == expected
+    assert list(map(repr, _full_reports(alone, table.arity))) == [expected]

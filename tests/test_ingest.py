@@ -3,6 +3,7 @@ from __future__ import annotations
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -438,3 +439,67 @@ def test_the_error_path_streams(tmp_path):
         tracemalloc.stop()
     assert exc.value.line_number == 100001
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---- the hash probe of spelling keys
+
+SENTINEL = 2**64 - 1
+
+
+@given(
+    st.lists(st.integers(0, SENTINEL - 1), unique=True, max_size=40),
+    # (inside, value): keys[value % len(keys)] if inside, else value itself.
+    st.lists(st.tuples(st.booleans(), st.integers(0, SENTINEL)), max_size=60),
+    st.integers(1, 12),
+)
+@example(keys=[], needles=[], bits=1)
+@example(keys=[0, 1, 2, 3, 4, 5, 6, 7], needles=[(True, i) for i in range(9)], bits=1)
+def test_probe_is_searchsorted(keys, needles, bits):
+    # At 1-3 bits most keys share a slot with another.
+    keys = np.array(sorted(keys) + [SENTINEL], np.uint64)
+    needles = np.array(
+        [keys[value % keys.size] if inside else value for inside, value in needles], np.uint64
+    )
+    at = ingest._probe(keys, ingest._hash_slots(keys, bits), needles)
+    expected = np.searchsorted(keys, needles)
+    assert at.dtype == expected.dtype
+    assert np.array_equal(at, expected)
+
+
+@pytest.fixture()
+def tiny_hash_tables(monkeypatch):
+    """Every hash table has two slots, so nearly every probe falls back."""
+    hash_slots = ingest._hash_slots
+    monkeypatch.setattr(ingest, "_hash_slots", lambda keys, bits: hash_slots(keys, 1))
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case_file(), st.booleans())
+def test_load_table_matches_record_path_with_tiny_hash_tables(
+    tmp_path, tiny_blocks, tiny_hash_tables, content, drop_empty
+):
+    path = tmp_path / "cases.txt"
+    path.write_bytes(content)
+    assert_same_outcome(path, drop_empty)
+
+
+def test_a_hash_table_is_built_at_the_first_probe_after_the_keys_grew(tmp_path, monkeypatch):
+    built = []  # the number of keys, sentinel included, of each table built
+    hash_slots = ingest._hash_slots
+    monkeypatch.setattr(
+        ingest, "_hash_slots", lambda keys, bits: built.append(keys.size) or hash_slots(keys, bits)
+    )
+    path = tmp_path / "cases.txt"
+    # One block: every key is new, and nothing is probed.
+    path.write_bytes(b"a,x,p,q\nb,y,p,q\n" * 3)
+    assert_same_outcome(path)
+    assert built == []
+    # 16 bytes, then on to the next newline: blocks of lines 1-3, 4-6 and
+    # 7-9. The second block probes every column and adds z to w's keys;
+    # the third builds a table for w's grown keys only.
+    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    path.write_bytes(
+        b"a,x,p,q\nb,y,p,q\nc,x,p,q\nd,z,p,q\ne,x,p,q\nf,y,p,q\ng,z,p,q\nh,x,p,q\ni,y,p,q\n"
+    )
+    assert_same_outcome(path)
+    assert built == [3, 2, 2, 4]

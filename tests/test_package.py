@@ -128,3 +128,12 @@ def test_module_entry_on_a_bad_file_exits_3(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", result.stderr)
     assert result.exit_code == 3
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_module_entry_names_itself_th4_in_usage_errors(golden4_path):
+    args = ["decompose", "--input", str(golden4_path), "--group-by", "y"]  # no --subset
+    proc = spawn("-m", "th4.cli", *args)
+    result = CliRunner().invoke(main, args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", result.stderr)
+    assert result.exit_code == 2
+    assert proc.stderr.startswith("Usage: th4 decompose [OPTIONS]\n")
