@@ -203,6 +203,7 @@ def krippendorff_interaction(table: ContingencyTable, ipf: IpfResult) -> float:
     """
     if not ipf.converged:
         raise NotConvergedError(ipf.max_margin_error, ipf.iterations)
-    if ipf._source_counts != table.counts:
+    # A fit of this very table skips building two label dicts to compare.
+    if ipf._source_counts is not table.counts and ipf._source_counts != table.counts:
         raise ValueError("the fit's counts differ from the table's; was it made from this table?")
     return ipf.interaction_bits

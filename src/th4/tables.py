@@ -19,10 +19,11 @@ Tables are built by from_counts (mappings) or _from_codes (code arrays)
 and stay read-only, across pickle too. Parallel ingestion builds one
 table per record shard and combines them with merge(); for any
 partition of the records the merged counts equal the sequentially
-built ones. Tables are laid side by side in one place, _stacked, which
-merge and == share: the union of their alphabets, each table's codes
-recoded into it, and the counts. (batch needs no recoding: the files of
-a chunk are coded on shared alphabets as they are read.)
+built ones. merge lays tables side by side with _stacked: the union of
+their alphabets, each table's codes recoded into it, and the counts.
+(batch needs no recoding: the files of a chunk are coded on shared
+alphabets as they are read.) Two tables' counts compare as mappings,
+label tuple to count, so == never depends on cell or label order.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ class _CountsView(Mapping):
     """Read-only label-tuple -> count view of a table's coded cells.
 
     Iterates the cells in storage (first-appearance) order. Lookups by
-    key build a label dict at the first one; len and == work on the
-    arrays, and == with another view compares cell sets, not order.
+    key, and so == (Mapping's, on label -> count items, in any order),
+    build a label dict at the first one; len works on the arrays.
     """
 
     __slots__ = ("_alphabets", "_codes", "_counts", "_dict")
@@ -196,20 +197,6 @@ class _CountsView(Mapping):
 
     def __repr__(self) -> str:
         return repr(self._as_dict())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _CountsView):
-            return super().__eq__(other)
-        if self is other:
-            return True
-        if len(self) != len(other) or len(self._alphabets) != len(other._alphabets):
-            return False
-        # A view's cells are distinct, so the two match exactly when every
-        # merged cell pairs a cell of each and their counts cancel.
-        alphabets, columns, counts = _stacked((self, other))
-        counts[len(self) :] *= -1
-        _, sums = _group(alphabets, columns, counts)
-        return len(sums) == len(self) and not sums.any()
 
 
 def _stacked(views: Sequence[_CountsView]) -> tuple[_Alphabets, list[np.ndarray], np.ndarray]:

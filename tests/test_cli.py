@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from th4 import cli, ingest
+from th4 import cli, ingest, tables
 from th4.cli import (
     CSV_HEADER,
     DECOMP_HEADER,
@@ -25,7 +25,7 @@ from th4.cli import (
     main,
 )
 from th4.ingest import load_table
-from th4.maxent import MAX_DENSE_CELLS
+from th4.maxent import MAX_DENSE_CELLS, ipf_fit, krippendorff_interaction
 
 
 @pytest.fixture()
@@ -819,6 +819,23 @@ class TestIpf:
         assert doc["redundancy_bits"] == pytest.approx(
             doc["interaction_bits"] - doc["transmission_bits"], abs=1e-12
         )
+
+    def test_a_fit_of_the_table_itself_builds_no_label_dict(
+        self, runner, monkeypatch, golden3_path, golden4_path
+    ):
+        # krippendorff_interaction knows its own fit's counts by identity,
+        # so neither the command nor the README's library calls compare
+        # two tables label by label.
+        def refuse(view):
+            raise AssertionError("a label dict was built")
+
+        monkeypatch.setattr(tables._CountsView, "_as_dict", refuse)
+        for path in (golden3_path, golden4_path):
+            result = runner.invoke(main, ["ipf", "--input", str(path), "--subset", "wxy"])
+            assert result.exit_code == 0, result.output
+        t3 = tables.project(load_table(golden4_path), (0, 1, 2))
+        fit = ipf_fit(t3)
+        assert krippendorff_interaction(t3, fit) == fit.interaction_bits
 
     def test_non_convergence_exits_distinctly(self, runner, tmp_path):
         data = tmp_path / "slow.txt"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from th4.decompose import decompose_by_dimension
+from th4.decompose import DecompositionResult, GroupContribution, decompose_by_dimension
 from th4.infocalc import transmission
 from th4.tables import ContingencyTable
 
@@ -147,6 +147,11 @@ class TestReconstruction:
     def test_pooled_equals_library_transmission(self, golden4_table):
         result = decompose_by_dimension(golden4_table, 2, (0, 1, 3))
         assert result.t_pooled == transmission(golden4_table, (0, 1, 3))
+
+    def test_a_result_that_does_not_add_up_names_the_gap(self):
+        group = GroupContribution("g", n_g=2, weight=1.0, t_g=0.25, contribution=0.25)
+        with pytest.raises(AssertionError, match=r"reconstruction off by -0\.5\b"):
+            DecompositionResult(subset=(0, 1), groups=(group,), t_pooled=1.0, t_between=0.25)
 
 
 @st.composite

@@ -55,6 +55,11 @@ def test_every_public_name_resolves_and_is_listed():
     assert child(code) == f"{len(th4.__all__)} {th4.__version__}"
 
 
+def test_dir_lists_every_public_name():
+    # In process, unlike the child above, so th4's own __dir__ is what runs.
+    assert set(th4.__all__) <= set(dir(th4))
+
+
 def test_star_import():
     code = "from th4 import *\nprint(sorted(k for k in globals() if not k.startswith('__')))"
     assert child(code) == str(sorted(th4.__all__))
