@@ -418,6 +418,8 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
 @_drop_empty_option
 def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
     """Split the pooled transmission into per-group contributions."""
+    if output_path and os.path.exists(output_path) and os.path.samefile(input_path, output_path):
+        _fail(EXIT_USAGE, f"--output {output_path} is the same file as --input {input_path}")
     table = _load(input_path, drop_empty)
     try:
         dims = parse_subset(subset)

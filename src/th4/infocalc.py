@@ -144,7 +144,9 @@ def _grouped_entropies(
 
     One packed sort per chain of nested subsets, keyed on `by` first, gives
     every member's marginal counts in every group, and each marginal cell's
-    group follows from where the groups start. The subset of every
+    group follows from where the groups start. The empty subset, whose
+    marginal in each group is the group itself, gives those starts and the
+    groups' case counts, first in the first chain. The subset of every
     dimension but `by` reads the table's (distinct) cells as they are. All
     the H are summed exactly in one pass, as the module says.
     """
@@ -153,20 +155,19 @@ def _grouped_entropies(
     codes, counts = table._codes, table._cell_counts
     sizes = [len(alphabet) for alphabet in table.alphabets]
     cells = tuple(d for d in range(table.arity) if d != by)
+    chained = [dims for dims in subsets if dims != cells]
     if by is None:
         lead, present, n = [], [0], [table.total]
     else:
-        lead = [by]
+        lead, chained = [by], [(), *chained]
         present = np.flatnonzero(np.bincount(codes[by], minlength=sizes[by])).tolist()
-        [(group_starts, n_g)] = _nested_sums([codes[by]], [sizes[by]], counts, [1])
-        n = n_g.tolist()
     # Each subset's marginal cells, reduced as soon as they are built to
     # their distinct (group, count) pairs.
     pairs = {}
     if cells in subsets:
         owner = None if by is None else np.searchsorted(present, codes[by])
         pairs[cells] = _distinct_pairs(owner, counts)
-    for members in _chains(dims for dims in subsets if dims != cells):
+    for members in _chains(chained):
         order = lead + _chain_order(members)
         sums = _nested_sums(
             [codes[d] for d in order],
@@ -175,6 +176,9 @@ def _grouped_entropies(
             [len(lead) + len(dims) for dims in members],
         )
         for dims, (starts, cell_sums) in zip(members, sums):
+            if not dims:  # the groups themselves
+                group_starts, n = starts, cell_sums.tolist()
+                continue
             owner = None if by is None else np.searchsorted(group_starts, starts, "right") - 1
             pairs[dims] = _distinct_pairs(owner, cell_sums)
     # One pass over every (subset, group) pair, the i-th subset's groups i * len(n) on.

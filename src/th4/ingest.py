@@ -2,23 +2,23 @@
 
 load_table() counts a file's records straight into a ContingencyTable.
 It reads the file in blocks of whole lines and works on each block in
-columns: numpy checks every line's comma count on the bytes, each
-label column is turned into integer codes, and the cells are counted
-with numpy on those codes, which the table keeps. A field of at most 8
-bytes is coded by its spelling key, its bytes read as one little-endian
-uint64 with zeros past its end. Each dimension's coder (_Codes) keeps
-the keys it has seen sorted beside their codes, and finds a column's
-keys among them by a multiplicative hash into a table of their indices,
-searching the sorted keys only for a key not in its slot. The hash
-table is built at the first probe after the keys grew, so a file read
-in one block builds none. Only a key not seen before is spelled back
-to text, cleaned, and looked up in a dict from raw field text to code
-(so each distinct spelling is cleaned once per coder). A column with a
-wider field, or any column of a block holding a NUL byte (zero padding
-is not injective there), is split as text and every field looked up in
-that dict. No record is kept and the file is read once: the first
-block to fail a check holds the file's first bad line, and only that
-block is checked again, one line at a time, to raise that line's error.
+columns: numpy checks every line's comma count on the bytes, each label
+column is turned into integer codes, and the cells are counted with
+numpy on those codes, which the table keeps. A field of at most 8 bytes
+is coded by its spelling key, its bytes read as one little-endian uint64
+with zeros past its end. Each dimension's coder (_Codes) keeps the keys
+it has seen sorted beside their codes, and finds a column's keys among
+them by a multiplicative hash into a table of their indices, searching
+the sorted keys only for a key not in its slot. The table is rebuilt
+whenever the keys grow, so a fresh coder probes like any other. Only a
+key not seen before is spelled back to text, cleaned, and looked up in a
+dict from raw field text to code (so each distinct spelling is cleaned
+once per coder). A column with a wider field, or any column of a block
+holding a NUL byte (zero padding is not injective there), is split as
+text and every field looked up in that dict. No record is kept and the
+file is read once: the first block to fail a check holds the file's
+first bad line, and only that block is checked again, one line at a
+time, to raise that line's error.
 
 load_table makes fresh coders for each file, so a table's alphabets
 are its own labels. `th4 batch` reads each chunk of files with one set
@@ -88,8 +88,7 @@ def _probe(keys: np.ndarray, slots: np.ndarray, needles: np.ndarray) -> np.ndarr
     index, and only the rest are searched."""
     at = slots[_slot_of(needles, slots.size.bit_length() - 1)]
     missed = np.flatnonzero(keys[at] != needles)
-    if missed.size:
-        at[missed] = np.searchsorted(keys, needles[missed])
+    at[missed] = np.searchsorted(keys, needles[missed])
     return at
 
 
@@ -139,7 +138,7 @@ class _Codes(dict):
     """Raw field text -> code of its cleaned label, codes in first-appearance
     order; `_clean_field` runs once per distinct spelling. `keys` lists the
     spelling keys seen so far, sorted, and `codes` their labels' codes;
-    `slots` is their hash table, built at the first probe after they grew."""
+    `slots` is their hash table, rebuilt whenever they grow."""
 
     def __init__(self):
         super().__init__()
@@ -147,7 +146,7 @@ class _Codes(dict):
         # No key is all 0xff bytes, which UTF-8 never holds: every key sorts before it.
         self.keys = np.array([2**64 - 1], np.uint64)
         self.codes = np.array([-1])
-        self.slots: np.ndarray | None = None
+        self.slots = _hash_slots(self.keys, _SLOTS_PER_KEY.bit_length())
 
     def __missing__(self, raw: str) -> int:
         code = self[raw] = self.labels.setdefault(_clean_field(raw, 0), len(self.labels))
@@ -156,13 +155,8 @@ class _Codes(dict):
     def coded(self, keys: np.ndarray) -> np.ndarray:
         """Codes of a column of spelling keys. A key not seen before is
         spelled back from its bytes and looked up as text."""
-        if self.keys.size == 1:  # only the sentinel: every key is new
-            codes, new = np.empty(keys.size, np.int64), np.ones(keys.size, bool)
-        else:
-            if self.slots is None:
-                self.slots = _hash_slots(self.keys, (_SLOTS_PER_KEY * self.keys.size).bit_length())
-            at = _probe(self.keys, self.slots, keys)
-            codes, new = self.codes[at], self.keys[at] != keys
+        at = _probe(self.keys, self.slots, keys)
+        codes, new = self.codes[at], self.keys[at] != keys
         if new.any():
             added = keys[new]
             fresh = np.sort(added)
@@ -180,7 +174,7 @@ class _Codes(dict):
             merged = np.concatenate((self.keys, fresh))
             sort = merged.argsort()
             self.keys, self.codes = merged[sort], np.concatenate((self.codes, fresh_codes))[sort]
-            self.slots = None
+            self.slots = _hash_slots(self.keys, (_SLOTS_PER_KEY * self.keys.size).bit_length())
         return codes
 
 

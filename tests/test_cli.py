@@ -761,6 +761,20 @@ class TestDecompose:
         assert groups["pooled"][3] == format_value(oracles.t3(raw, 0, 1, 3), 2)
         assert result.output.splitlines()[1] == DECOMP_HEADER
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
+    def test_output_naming_the_input_is_refused(self, runner, golden4_path, tmp_path, link):
+        data = tmp_path / "d.txt"
+        data.write_bytes(golden4_path.read_bytes())
+        out = tmp_path / "e.txt" if link else data
+        if link:
+            os.link(data, out)
+        args = ["--input", str(data), "--output", str(out), "--group-by", "y", "--subset", "wx"]
+        result = runner.invoke(main, ["decompose", *args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: --output {out} is the same file as --input {data}\n"
+        assert data.read_bytes() == golden4_path.read_bytes()
+
     def test_group_dim_in_subset_is_usage_error(self, runner, golden4_path):
         result = runner.invoke(
             main,

@@ -385,6 +385,18 @@ def subset_requests(draw):
         (3, 0, 2),
     )
 )
+# Only the subset of every dimension but `by`: the empty subset, which
+# gives the groups, forms a chain on its own.
+@example(
+    (
+        ContingencyTable.from_counts(
+            3, {("a", "b", "c"): 4, ("b", "b", "c"): 1, ("b", "", "c"): 2, ("a", "b", ""): 3}
+        ),
+        [(1, 2)],
+        0,
+        (1, 2, 0),
+    )
+)
 def test_partial_subset_requests_match_the_dict_marginals(case):
     table, subsets, by, (a, b, c) = case
     h = {dims: dict_marginal_entropy(table, dims) for dims in all_subsets(table.arity)}

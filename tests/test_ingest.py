@@ -415,6 +415,12 @@ def test_only_the_refused_block_is_checked_again(tmp_path, monkeypatch):
     locate.assert_called_once_with(b"a,1,2,3\nb,1,2\na,1,2,3\n", 10, (3, 3))
 
 
+def test_a_refused_block_without_an_error_is_a_fault():
+    # load_table refuses no clean block; were it to, the check says so.
+    with pytest.raises(AssertionError, match="^lines 1-1 were refused but hold no error$"):
+        ingest._raise_first_error(b"a,1,2,3\n", 0, None)
+
+
 @pytest.mark.parametrize("block", [ingest._BLOCK, 1, 16])
 def test_a_decode_error_wins_over_a_later_error(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "_BLOCK", block)
@@ -483,23 +489,26 @@ def test_load_table_matches_record_path_with_tiny_hash_tables(
     assert_same_outcome(path, drop_empty)
 
 
-def test_a_hash_table_is_built_at_the_first_probe_after_the_keys_grew(tmp_path, monkeypatch):
-    built = []  # the number of keys, sentinel included, of each table built
-    hash_slots = ingest._hash_slots
-    monkeypatch.setattr(
-        ingest, "_hash_slots", lambda keys, bits: built.append(keys.size) or hash_slots(keys, bits)
-    )
+@pytest.mark.parametrize("block", [ingest._BLOCK, 16])
+def test_every_coder_keeps_a_hash_table_of_its_keys(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ingest, "_BLOCK", block)
+    made = []  # every coder load_table makes
+
+    class Codes(ingest._Codes):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(ingest, "_Codes", Codes)
     path = tmp_path / "cases.txt"
-    # One block: every key is new, and nothing is probed.
-    path.write_bytes(b"a,x,p,q\nb,y,p,q\n" * 3)
-    assert_same_outcome(path)
-    assert built == []
-    # 16 bytes, then on to the next newline: blocks of lines 1-3, 4-6 and
-    # 7-9. The second block probes every column and adds z to w's keys;
-    # the third builds a table for w's grown keys only.
-    monkeypatch.setattr(ingest, "_BLOCK", 16)
+    # One block, whose fresh coders hold only their sentinel and probe
+    # every key; or at 16 bytes, then on to the next newline, blocks of
+    # lines 1-3, 4-6 and 7-9, the second of which adds z to w's keys.
     path.write_bytes(
         b"a,x,p,q\nb,y,p,q\nc,x,p,q\nd,z,p,q\ne,x,p,q\nf,y,p,q\ng,z,p,q\nh,x,p,q\ni,y,p,q\n"
     )
     assert_same_outcome(path)
-    assert built == [3, 2, 2, 4]
+    assert [coder.keys.size for coder in made] == [4, 2, 2]  # each with its sentinel
+    for coder in made:
+        bits = (4 * coder.keys.size).bit_length()
+        assert np.array_equal(coder.slots, ingest._hash_slots(coder.keys, bits))
