@@ -103,11 +103,11 @@ def _csv_row(label: str, report: EntropyReport, precision: int, full_precision: 
 
 
 def append_row(path: Path, row: str) -> None:
-    """Append a rendered row as one whole line; a fresh (or empty) file gets
-    the header first, and a file whose last line lacks its newline gets one
-    before the row.
+    """Append rendered rows, one or more joined by newlines, as whole lines;
+    a fresh (or empty) file gets the header first, and a file whose last
+    line lacks its newline gets one before the rows.
 
-    A missing file is created holding the header and the row at once, so
+    A missing file is created holding the header and the rows at once, so
     two runs that start on it together write one header between them.
     Raises ValueError, leaving the file unchanged, when a non-empty
     file's first line is not CSV_HEADER.
@@ -370,8 +370,10 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
                 stack = _stack(lookups, [held[i][1] for i in files])
                 for i, rep in zip(files, _full_reports(stack, arity)):
                     reports[i] = rep
+        rows = [_csv_row(n, rep, precision, full_precision) for (n, _), rep in zip(held, reports)]
+        if rows:  # the chunk's rows, in one append
+            _append(output_path, "\n".join(rows))
         for (name, _), rep in zip(held, reports):
-            _append(output_path, _csv_row(name, rep, precision, full_precision))
             click.echo(f"{name}: {rep.n_cases} cases, {rep.arity} dimensions")
         held.clear()
         coders.clear()

@@ -1,24 +1,28 @@
 """Parsing of case-record text files.
 
 load_table() counts a file's records straight into a ContingencyTable.
-It reads the file in blocks of whole lines and works on each block in
-columns: numpy checks every line's comma count on the bytes, each label
-column is turned into integer codes, and the cells are counted with
-numpy on those codes, which the table keeps. A field of at most 8 bytes
+It reads the file in blocks of whole lines (128 KiB, then on to the
+next newline) and works on each block in columns: numpy checks every
+line's comma count on the bytes, screens the ids by their first byte,
+turns each label column into integer codes, and counts the cells on
+those codes, which the table keeps. An id led by printable ASCII other
+than the quote passes; only the rest have their quotes counted, and an
+id not passed then is checked as text. A field of at most 8 bytes
 is coded by its spelling key, its bytes read as one little-endian uint64
 with zeros past its end. Each dimension's coder (_Codes) keeps the keys
 it has seen sorted beside their codes, and finds a column's keys among
 them by a multiplicative hash into a table of their indices, searching
 the sorted keys only for a key not in its slot. The table is rebuilt
-whenever the keys grow, so a fresh coder probes like any other. Only a
-key not seen before is spelled back to text, cleaned, and looked up in a
-dict from raw field text to code (so each distinct spelling is cleaned
-once per coder). A column with a wider field, or any column of a block
-holding a NUL byte (zero padding is not injective there), is split as
-text and every field looked up in that dict. No record is kept and the
-file is read once: the first block to fail a check holds the file's
-first bad line, and only that block is checked again, one line at a
-time, to raise that line's error.
+whenever the keys grow, so a fresh coder probes like any other. The
+keys a block has not seen before are spelled back to text in one
+decode, and each is cleaned once, straight into the labels. A column
+with a wider field, or any column of a block holding a NUL byte (zero
+padding is not injective there), is split as text and every field
+looked up in a dict from raw field text to code, which cleans each
+distinct spelling once. No record is kept and the file is read once:
+the first block to fail a check holds the file's first bad line, and
+only that block is checked again, one line at a time, to raise that
+line's error.
 
 load_table makes fresh coders for each file, so a table's alphabets
 are its own labels. `th4 batch` reads each chunk of files with one set
@@ -56,7 +60,12 @@ from .tables import ContingencyTable, _group, _trimmed
 MIN_ARITY = 3
 MAX_ARITY = 4
 # Bytes load_table reads at a time, before extending to the next newline.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 17
+# Printable ASCII but the quote: an id led by such a byte passes _clean_field,
+# as strip() keeps that byte and the id opens no quote.
+_BARE_LEAD = np.zeros(256, bool)
+_BARE_LEAD[0x21:0x7F] = True
+_BARE_LEAD[ord('"')] = False
 # The low n bytes of a uint64, n = 0..8: a spelling key from the 8 bytes at a field's start.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 # Multiplicative hashing: a key's slot is the top bits of its product
@@ -135,10 +144,12 @@ def _raise_first_error(block: bytes, lines: int, first: tuple[int, int] | None) 
 
 
 class _Codes(dict):
-    """Raw field text -> code of its cleaned label, codes in first-appearance
-    order; `_clean_field` runs once per distinct spelling. `keys` lists the
-    spelling keys seen so far, sorted, and `codes` their labels' codes;
-    `slots` is their hash table, rebuilt whenever they grow."""
+    """Raw field text -> code of its cleaned label, for the fields split as
+    text; `labels` maps each label to its code, in first-appearance order.
+    `keys` lists the spelling keys seen so far, sorted, and `codes` their
+    labels' codes; `slots` is their hash table, rebuilt whenever they grow.
+    A new key is cleaned once, straight into `labels`, and never enters
+    the raw-text dict."""
 
     def __init__(self):
         super().__init__()
@@ -153,8 +164,9 @@ class _Codes(dict):
         return code
 
     def coded(self, keys: np.ndarray) -> np.ndarray:
-        """Codes of a column of spelling keys. A key not seen before is
-        spelled back from its bytes and looked up as text."""
+        """Codes of a column of spelling keys. The keys not seen before are
+        spelled back from their bytes in one decode, cleaned into `labels`
+        in first-appearance order, and merged into the sorted keys."""
         at = _probe(self.keys, self.slots, keys)
         codes, new = self.codes[at], self.keys[at] != keys
         if new.any():
@@ -165,15 +177,19 @@ class _Codes(dict):
             first = np.full(fresh.size, added.size)
             np.minimum.at(first, inverse, np.arange(added.size))
             order = first.argsort()  # new labels get codes in first-appearance order
+            # The S8 view drops each key's zero padding; no spelled field
+            # holds a NUL or a newline.
+            spellings = b"\n".join(fresh[order].astype("<u8", copy=False).view("S8").tolist())
+            labels = self.labels
             fresh_codes = np.empty(fresh.size, np.int64)
             fresh_codes[order] = [
-                self[key.to_bytes(8, "little").rstrip(b"\0").decode()]
-                for key in fresh[order].tolist()
+                labels.setdefault(_clean_field(raw, 0), len(labels))
+                for raw in spellings.decode().split("\n")
             ]
             codes[new] = fresh_codes[inverse]
-            merged = np.concatenate((self.keys, fresh))
-            sort = merged.argsort()
-            self.keys, self.codes = merged[sort], np.concatenate((self.codes, fresh_codes))[sort]
+            into = np.searchsorted(self.keys, fresh)
+            self.keys = np.insert(self.keys, into, fresh)
+            self.codes = np.insert(self.codes, into, fresh_codes)
             self.slots = _hash_slots(self.keys, (_SLOTS_PER_KEY * self.keys.size).bit_length())
         return codes
 
@@ -227,13 +243,16 @@ def _block_columns(
     fields = None
     try:  # _clean_field raises FormatError for a bad quote
         if quote_at.size:
-            # An id with no quote, or with two as its first and last
-            # byte, passes _clean_field; any other id goes through it.
-            quotes = np.searchsorted(quote_at, cuts[0]) - np.searchsorted(quote_at, starts)
+            # An id led by a bare byte passes _clean_field. Of the others,
+            # an id with no quote, or with two as its first and last byte,
+            # passes too; any other id goes through it.
+            odd = np.flatnonzero(~_BARE_LEAD[raw[starts]])
+            lo, hi = starts[odd], cuts[0][odd]
+            quotes = np.searchsorted(quote_at, hi) - np.searchsorted(quote_at, lo)
             plain = (quotes == 0) | (
-                (quotes == 2) & (raw[starts] == ord('"')) & (raw[cuts[0] - 1] == ord('"'))
+                (quotes == 2) & (raw[lo] == ord('"')) & (raw[hi - 1] == ord('"'))
             )
-            for i in np.flatnonzero(~plain).tolist():
+            for i in odd[~plain].tolist():
                 _clean_field(block[starts[i] : cuts[0][i]].decode(), 0)
         columns = []
         for d, lookup in enumerate(lookups, start=1):

@@ -688,6 +688,46 @@ class TestBatch:
         ]
         assert [stack.alphabets[3] for stack in stacked] == [(0, 1), (0, 1)]
 
+    def test_each_chunk_appends_its_rows_at_once(self, runner, tmp_path, monkeypatch):
+        # Six files shaped as the benchmark's batch files: Zipf labels over
+        # 12x9x7x5, a third of the records quoted with a space after each comma.
+        rng = random.Random(5)
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        for i in range(6):
+            lines = []
+            for n in range(200):
+                row = [f"r{n}"]
+                for prefix, size in zip("wxyz", (12, 9, 7, 5)):
+                    weights = [1 / rank**0.6 for rank in range(1, size + 1)]
+                    row.append(f"{prefix}{rng.choices(range(size), weights)[0]}")
+                lines.append(", ".join(f'"{f}"' for f in row) if n % 3 == 0 else ",".join(row))
+            (datadir / f"f{i}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cells = [len(load_table(path).counts) for path in sorted(datadir.iterdir())]
+        appends, append_row = [], cli.append_row
+        monkeypatch.setattr(
+            cli, "append_row", lambda path, rows: appends.append(rows) or append_row(path, rows)
+        )
+        written = []
+        for bound in (2**40, max(cells) + 1):  # one chunk, then a chunk per two files
+            monkeypatch.setattr(cli, "_CHUNK_CELLS", bound)
+            appends.clear()
+            out = tmp_path / f"runs{bound}.csv"
+            assert runner.invoke(main, ["batch", str(datadir), "--output", str(out)]).exit_code == 0
+            assert [rows.count("\n") + 1 for rows in appends] == ([6] if bound == 2**40 else [2] * 3)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].decode().splitlines()[1:] == "\n".join(appends).splitlines()
+        out = tmp_path / "foreign.csv"
+        out.write_text("name,value\nold,1\n", encoding="utf-8")
+        result = runner.invoke(main, ["batch", str(datadir), "--output", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: {out}: header does not match the th4 columns; refusing to append\n"
+        )
+        assert result.stdout == ""
+        assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
+
     @pytest.mark.parametrize("failure", ["bad data", "bad data, keep going", "unreadable"])
     def test_failure_in_a_chunk_comes_after_the_earlier_rows(
         self, runner, tmp_path, monkeypatch, failure
