@@ -357,19 +357,18 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
                 f"{first} and {path} share the file name {name!r}, "
                 "which would label two rows alike",
             )
-    # The files of a chunk are read with one set of label coders, by arity,
-    # so that the codes of their cells index the same alphabets.
-    coders: dict[int, list] = {}
+    # The files of a chunk are read with one list of label coders, one per
+    # dimension, so that the codes of their cells index the same alphabets.
+    coders: list = []
     held: list[tuple[str, _Cells]] = []  # loaded, row not yet appended
 
     def flush() -> None:
         reports: list[EntropyReport] = [None] * len(held)
-        for arity, lookups in coders.items():
+        for arity in {len(codes) for _, (codes, _) in held}:
             files = [i for i, (_, (codes, _)) in enumerate(held) if len(codes) == arity]
-            if files:  # else only a refused file had this arity
-                stack = _stack(lookups, [held[i][1] for i in files])
-                for i, rep in zip(files, _full_reports(stack, arity)):
-                    reports[i] = rep
+            stack = _stack(coders[:arity], [held[i][1] for i in files])
+            for i, rep in zip(files, _full_reports(stack, arity)):
+                reports[i] = rep
         rows = [_csv_row(n, rep, precision, full_precision) for (n, _), rep in zip(held, reports)]
         if rows:  # the chunk's rows, in one append
             _append(output_path, "\n".join(rows))

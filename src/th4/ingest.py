@@ -25,11 +25,12 @@ only that block is checked again, one line at a time, to raise that
 line's error.
 
 load_table makes fresh coders for each file, so a table's alphabets
-are its own labels. `th4 batch` reads each chunk of files with one set
-of coders per arity (_read_cells), made at the chunk's first file and
-dropped when its rows are written: the files of a chunk learn each
-spelling once, and their cells' codes index the same alphabets, so they
-are stacked side by side as they are (_stack), with no recoding.
+are its own labels. `th4 batch` reads each chunk of files with one list
+of coders, one per dimension (_read_cells), grown to the chunk's widest
+file and dropped when its rows are written: the files of a chunk, of 3
+labels or 4, learn each spelling once, and their cells' codes index the
+same alphabets, so they are stacked side by side as they are (_stack),
+with no recoding.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -91,14 +92,17 @@ def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
     return slots
 
 
-def _probe(keys: np.ndarray, slots: np.ndarray, needles: np.ndarray) -> np.ndarray:
+def _probe(
+    keys: np.ndarray, slots: np.ndarray, needles: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """np.searchsorted(keys, needles), for sorted distinct `keys` and their
-    `_hash_slots`: a needle that is the key in its slot is at that key's
-    index, and only the rest are searched."""
+    `_hash_slots`, and the ascending indices of the needles it searched: a
+    needle that is the key in its slot is at that key's index, and only
+    the rest, its misses, are searched. A needle not in `keys` is a miss."""
     at = slots[_slot_of(needles, slots.size.bit_length() - 1)]
     missed = np.flatnonzero(keys[at] != needles)
     at[missed] = np.searchsorted(keys, needles[missed])
-    return at
+    return at, missed
 
 
 def _clean_field(raw: str, line_number: int) -> str:
@@ -167,9 +171,10 @@ class _Codes(dict):
         """Codes of a column of spelling keys. The keys not seen before are
         spelled back from their bytes in one decode, cleaned into `labels`
         in first-appearance order, and merged into the sorted keys."""
-        at = _probe(self.keys, self.slots, keys)
-        codes, new = self.codes[at], self.keys[at] != keys
-        if new.any():
+        at, missed = _probe(self.keys, self.slots, keys)
+        codes = self.codes[at]
+        new = missed[self.keys[at[missed]] != keys[missed]]  # only a miss can be new
+        if new.size:
             added = keys[new]
             fresh = np.sort(added)
             fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
@@ -195,12 +200,12 @@ class _Codes(dict):
 
 
 def _block_columns(
-    block: bytes, lookups: list[_Codes], coders: dict[int, list[_Codes]]
+    block: bytes, coders: list[_Codes], width: int
 ) -> tuple[list[np.ndarray], int] | None:
     """A block of whole lines' label columns as int64 codes ([] if every
     line is blank) and its line count, or None if a line fails a check.
-    `lookups` are the file's coders, one per dimension: its first record
-    fixes its arity and takes them from `coders`, made there if absent.
+    Every record holds `width` labels, or if width is 0 as many as the
+    block's first; column d is coded by coders[d], made there if absent.
     """
     # Line structure from the bytes: no byte below 0x80 occurs
     # inside a UTF-8 multibyte sequence.
@@ -225,16 +230,10 @@ def _block_columns(
         starts, ends, commas = starts[kept], ends[kept], commas[kept]
         if not commas.size:
             return [], lines
-    if not lookups:  # commas per record, fixed by the first one
-        arity = int(commas[0])
-        if not MIN_ARITY <= arity <= MAX_ARITY:
-            return None
-        if arity not in coders:
-            coders[arity] = [_Codes() for _ in range(arity)]
-        lookups.extend(coders[arity])
-    width = len(lookups)
-    if (commas != width).any():
+    width = width or int(commas[0])
+    if not MIN_ARITY <= width <= MAX_ARITY or (commas != width).any():
         return None
+    coders.extend(_Codes() for _ in range(len(coders), width))
     # Each comma is one of a record's `width`: label d of a record runs
     # from cuts[d - 1] + 1 to cuts[d], and cuts[0] ends its id.
     cuts = [*comma_at.reshape(-1, width).T, ends]
@@ -255,7 +254,7 @@ def _block_columns(
             for i in odd[~plain].tolist():
                 _clean_field(block[starts[i] : cuts[0][i]].decode(), 0)
         columns = []
-        for d, lookup in enumerate(lookups, start=1):
+        for d, lookup in enumerate(coders[:width], start=1):
             lo = cuts[d - 1] + 1
             size = cuts[d] - lo
             if spelled is not None and size.max() <= 8:
@@ -278,38 +277,37 @@ def _block_columns(
 _Cells = tuple[tuple[np.ndarray, ...], np.ndarray]
 
 
-def _read_cells(
-    path: str | os.PathLike, coders: dict[int, list[_Codes]], drop_empty: bool
-) -> _Cells:
+def _read_cells(path: str | os.PathLike, coders: list[_Codes], drop_empty: bool) -> _Cells:
     """A case-record file's cells in first-appearance order: per dimension
-    their codes by `coders[arity]`, made there if absent, and their counts.
+    d their codes by coders[d], made there if absent, and their counts.
 
     Files read with one `coders` share it: their codes index the same
     alphabets, which list every label of those files. With drop_empty,
     records carrying an empty label are skipped. Raises as load_table.
     """
-    lookups: list[_Codes] = []
+    width = 0  # labels per record, fixed by the first record
     blocks: list[list[np.ndarray]] = []  # each block's label columns
     lines = 0  # lines read so far
-    first: tuple[int, int] | None = None  # line and arity of the first record
+    first: tuple[int, int] | None = None  # line and width of the first record
     with open(path, "rb") as fh:
         while block := fh.read(_BLOCK) + fh.readline():
-            if (parsed := _block_columns(block, lookups, coders)) is None:
+            if (parsed := _block_columns(block, coders, width)) is None:
                 _raise_first_error(block, lines, first)
             columns, count = parsed
             if columns:
                 blocks.append(columns)
-                if first is None:  # the lines before its first comma are blank
-                    first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), len(lookups))
+                if not width:  # the lines before its first comma are blank
+                    width = len(columns)
+                    first = (lines + 1 + block.count(b"\n", 0, block.index(b",")), width)
             lines += count
     if not blocks:
         raise EmptyDatasetError("no case records")
-    sizes = [lookup.labels for lookup in lookups]  # _group reads their lengths
+    sizes = [lookup.labels for lookup in coders[:width]]  # _group reads their lengths
     codes, counts = _group(sizes, [np.concatenate(column) for column in zip(*blocks)])
     if drop_empty:
         # A kept cell's first record is kept: cells keep their order.
         kept = np.logical_and.reduce(
-            [column != lookup.labels.get("", -1) for column, lookup in zip(codes, lookups)]
+            [column != lookup.labels.get("", -1) for column, lookup in zip(codes, coders)]
         )
         if not kept.any():
             raise EmptyDatasetError("all records carry empty labels")
@@ -339,11 +337,10 @@ def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> Continge
     describe the data and name no file; the command line prefixes the
     file's path.
     """
-    coders: dict[int, list[_Codes]] = {}
+    coders: list[_Codes] = []
     codes, counts = _read_cells(path, coders, drop_empty)
-    [lookups] = coders.values()  # every label was read from one of the file's records
-    alphabets = tuple(tuple(lookup.labels) for lookup in lookups)
-    if drop_empty and any("" in lookup.labels for lookup in lookups):
+    alphabets = tuple(tuple(lookup.labels) for lookup in coders)
+    if drop_empty and any("" in lookup.labels for lookup in coders):
         # Records were skipped: each alphabet keeps the labels of the rest.
         return _trimmed(alphabets, codes, counts)
     return ContingencyTable._from_codes(alphabets, codes, counts)

@@ -131,7 +131,9 @@ def _group(
     first = rows[starts]  # a group's rows come out ascending: its first row leads
     by_row = np.empty(n, dtype=sums.dtype)
     by_row[first] = sums
-    cells = np.sort(first)
+    leads = np.zeros(n, bool)
+    leads[first] = True
+    cells = np.flatnonzero(leads)  # the first rows, ascending
     return tuple(codes[cells] for codes in columns), by_row[cells]
 
 

@@ -688,6 +688,31 @@ class TestBatch:
         ]
         assert [stack.alphabets[3] for stack in stacked] == [(0, 1), (0, 1)]
 
+    def test_files_of_each_width_share_one_coder_per_dimension(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # A 4-label file and a 3-label file of one chunk code their first
+        # three dimensions with the same coders: p, learned from a.txt, is
+        # not learned again from b.txt.
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        write_rows(datadir / "a.txt", [("p", "x", "y", "z"), ("q", "x", "y", "z")])
+        write_rows(datadir / "b.txt", [("r", "x", "y"), ("p", "x", "y")])
+        stacked, full_reports = [], cli._full_reports
+        monkeypatch.setattr(
+            cli, "_full_reports", lambda stack, by: stacked.append(stack) or full_reports(stack, by)
+        )
+        out = tmp_path / "runs.csv"
+        args = ["batch", str(datadir), "--output", str(out), "--full-precision"]
+        assert runner.invoke(main, args).exit_code == 0
+        assert sorted(len(stack.alphabets) for stack in stacked) == [4, 5]
+        assert [stack.alphabets[0] for stack in stacked] == [("p", "q", "r")] * 2
+        expected = tmp_path / "expected.csv"
+        for name in ("a.txt", "b.txt"):
+            args = ["report", "--input", str(datadir / name), "--output", str(expected)]
+            assert runner.invoke(main, args + ["--full-precision"]).exit_code == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_each_chunk_appends_its_rows_at_once(self, runner, tmp_path, monkeypatch):
         # Six files shaped as the benchmark's batch files: Zipf labels over
         # 12x9x7x5, a third of the records quoted with a space after each comma.

@@ -477,10 +477,16 @@ def test_probe_is_searchsorted(keys, needles, bits):
     needles = np.array(
         [keys[value % keys.size] if inside else value for inside, value in needles], np.uint64
     )
-    at = ingest._probe(keys, ingest._hash_slots(keys, bits), needles)
+    at, missed = ingest._probe(keys, ingest._hash_slots(keys, bits), needles)
     expected = np.searchsorted(keys, needles)
     assert at.dtype == expected.dtype
     assert np.array_equal(at, expected)
+    # The misses are where a coder looks for new keys: they come ascending,
+    # they hold every needle not among the keys, and the rest are found.
+    assert np.all(np.diff(missed) > 0)
+    assert set(np.flatnonzero(~np.isin(needles, keys)).tolist()) <= set(missed.tolist())
+    hit = np.setdiff1d(np.arange(needles.size), missed)
+    assert np.array_equal(keys[at[hit]], needles[hit])
 
 
 @pytest.fixture()
