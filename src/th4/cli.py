@@ -44,9 +44,9 @@ from .infocalc import (
     subset_name,
     transmission,
 )
-from .ingest import _Cells, _read_cells, _stack, load_table
+from .ingest import _read_cells, load_table
 from .maxent import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, ipf_fit, krippendorff_interaction
-from .tables import project
+from .tables import _Cells, _stacked, project
 
 EXIT_IO_ERROR = 1
 EXIT_USAGE = 2  # also the exit code of click's own usage failures
@@ -238,9 +238,9 @@ def _append(path: Path, row: str) -> None:
         _fail(EXIT_IO_ERROR, f"{path}: {exc}")
 
 
-def _expand_inputs(inputs: tuple[str, ...], results: str) -> list[str]:
+def _expand_inputs(inputs: tuple[str, ...], results: Path) -> list[str]:
     """Matched files in sorted path order, one per real file, none of them
-    the real file `results`."""
+    the file `results` under any name, a hard link's included."""
     found: set[str] = set()
     for item in inputs:
         path = Path(item)
@@ -253,8 +253,8 @@ def _expand_inputs(inputs: tuple[str, ...], results: str) -> list[str]:
     unique: dict[str, str] = {}
     for p in sorted(found):
         unique.setdefault(os.path.realpath(p), p)
-    unique.pop(results, None)
-    return list(unique.values())
+    exists = os.path.exists(results)
+    return [p for p in unique.values() if not (exists and os.path.samefile(p, results))]
 
 
 _input_option = click.option(
@@ -344,7 +344,7 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
     with the same name are refused. After the last file, one summary
     line (files, rows appended, files skipped) goes to stderr.
     """
-    files = _expand_inputs(inputs, os.path.realpath(output_path))
+    files = _expand_inputs(inputs, output_path)
     if not files:
         raise click.UsageError(f"no input files matched {' '.join(inputs)!r}")
     by_name: dict[str, str] = {}
@@ -366,7 +366,8 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
         reports: list[EntropyReport] = [None] * len(held)
         for arity in {len(codes) for _, (codes, _) in held}:
             files = [i for i, (_, (codes, _)) in enumerate(held) if len(codes) == arity]
-            stack = _stack(coders[:arity], [held[i][1] for i in files])
+            alphabets = tuple(tuple(lookup.labels) for lookup in coders[:arity])
+            stack = _stacked(alphabets, [held[i][1] for i in files])
             for i, rep in zip(files, _full_reports(stack, arity)):
                 reports[i] = rep
         rows = [_csv_row(n, rep, precision, full_precision) for (n, _), rep in zip(held, reports)]

@@ -8,14 +8,15 @@ logarithms:
     T(a,b|c)  = H(ac) + H(bc) - H(c) - H(abc)
 
 T of two dimensions is the ordinary mutual information and never
-negative; T of three or four dimensions is signed, with negative values
-indicating a net reduction of uncertainty (synergy).
+negative; T of three or four dimensions is signed. Negative T(WXY)
+indicates a net reduction of uncertainty (synergy); T(WXYZ) is +1 both
+for four copies of one bit and for a four-way parity (Z = W xor X xor Y).
 
 Every H is computed by one kernel, _grouped_entropies, for the whole
 table or within each group of its cells by their label on a grouping
 dimension. decompose groups by a dimension of the data; batch stacks
 the cells of a chunk's files, which its shared label coders give one
-set of alphabets (ingest._stack), with a last dimension holding each
+set of alphabets (tables._stacked), with a last dimension holding each
 cell's file index, and groups by that (_full_reports); the rest of th4
 takes the whole table.
 The requested subsets are covered by chains of nested subsets (W, WX,

@@ -29,8 +29,8 @@ are its own labels. `th4 batch` reads each chunk of files with one list
 of coders, one per dimension (_read_cells), grown to the chunk's widest
 file and dropped when its rows are written: the files of a chunk, of 3
 labels or 4, learn each spelling once, and their cells' codes index the
-same alphabets, so they are stacked side by side as they are (_stack),
-with no recoding.
+same alphabets, so batch stacks them as they are (tables._stacked), with
+no recoding.
 
 One case per line: an identifier followed by 3 or 4 nominal category
 labels, all comma-separated. Fields may be wrapped in double quotes;
@@ -56,7 +56,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import EmptyDatasetError, FormatError
-from .tables import ContingencyTable, _group, _trimmed
+from .tables import ContingencyTable, _Cells, _group, _trimmed
 
 MIN_ARITY = 3
 MAX_ARITY = 4
@@ -273,10 +273,6 @@ def _block_columns(
         return None
 
 
-# A file's cells: per dimension their codes, and their counts.
-_Cells = tuple[tuple[np.ndarray, ...], np.ndarray]
-
-
 def _read_cells(path: str | os.PathLike, coders: list[_Codes], drop_empty: bool) -> _Cells:
     """A case-record file's cells in first-appearance order: per dimension
     d their codes by coders[d], made there if absent, and their counts.
@@ -314,16 +310,6 @@ def _read_cells(path: str | os.PathLike, coders: list[_Codes], drop_empty: bool)
         if not kept.all():
             codes, counts = tuple(column[kept] for column in codes), counts[kept]
     return codes, counts
-
-
-def _stack(lookups: list[_Codes], files: list[_Cells]) -> ContingencyTable:
-    """The cells of files read with `lookups`, file after file, and a last
-    dimension holding each cell's index among the files."""
-    columns = [np.concatenate(column) for column in zip(*(codes for codes, _ in files))]
-    columns.append(np.repeat(np.arange(len(files)), [len(counts) for _, counts in files]))
-    alphabets = (*(tuple(lookup.labels) for lookup in lookups), tuple(range(len(files))))
-    counts = np.concatenate([counts for _, counts in files])
-    return ContingencyTable._from_codes(alphabets, tuple(columns), counts)
 
 
 def load_table(path: str | os.PathLike, *, drop_empty: bool = False) -> ContingencyTable:

@@ -19,11 +19,11 @@ Tables are built by from_counts (mappings) or _from_codes (code arrays)
 and stay read-only, across pickle too. Parallel ingestion builds one
 table per record shard and combines them with merge(); for any
 partition of the records the merged counts equal the sequentially
-built ones. merge lays tables side by side with _stacked: the union of
-their alphabets, each table's codes recoded into it, and the counts.
-(batch needs no recoding: the files of a chunk are coded on shared
-alphabets as they are read.) Two tables' counts compare as mappings,
-label tuple to count, so == never depends on cell or label order.
+built ones. _stacked lays sources coded on one set of alphabets side by
+side: merge recodes b's cells into the union of both tables' alphabets,
+and batch stacks a chunk's files as read, on shared alphabets.
+Two tables' counts compare as mappings, label tuple to count, so ==
+never depends on cell or label order.
 """
 
 from __future__ import annotations
@@ -201,22 +201,6 @@ class _CountsView(Mapping):
         return repr(self._as_dict())
 
 
-def _stacked(views: Sequence[_CountsView]) -> tuple[_Alphabets, list[np.ndarray], np.ndarray]:
-    """The cells of count views of one arity, view after view: the union of
-    their alphabets, labels in order of first appearance; per dimension the
-    views' codes recoded into it; and their counts, int64, or exact Python
-    ints in an object array once their sum reaches 2**63."""
-    alphabets, columns = [], []
-    for d in range(len(views[0]._alphabets)):
-        alphabets.append(tuple(dict.fromkeys(chain.from_iterable(v._alphabets[d] for v in views))))
-        index = _label_index(alphabets[-1])
-        recodes = [np.fromiter(map(index.__getitem__, v._alphabets[d]), np.int64) for v in views]
-        columns.append(np.concatenate([recode[v._codes[d]] for recode, v in zip(recodes, views)]))
-    dtype = np.int64 if sum(int(v._counts.sum()) for v in views) < 2**63 else object
-    counts = np.concatenate([v._counts for v in views]).astype(dtype, copy=False)
-    return tuple(alphabets), columns, counts
-
-
 @dataclass(frozen=True, init=False)
 class ContingencyTable:
     """Counts of label tuples in `arity` dimensions.
@@ -308,12 +292,36 @@ def _trimmed(
     return ContingencyTable._from_codes(tuple(kept_alphabets), tuple(kept_codes), counts)
 
 
+# A source's cells: per dimension their codes into some alphabets, and their counts.
+_Cells = tuple[tuple[np.ndarray, ...], np.ndarray]
+
+
+def _stacked(alphabets: _Alphabets, parts: Sequence[_Cells]) -> ContingencyTable:
+    """The cells of `parts`, all coded into `alphabets`, part after part, and
+    a last dimension holding each cell's part index. Their counts are
+    int64, or exact Python ints in an object array once their sum reaches
+    2**63."""
+    columns = [np.concatenate(column) for column in zip(*(codes for codes, _ in parts))]
+    columns.append(np.repeat(np.arange(len(parts)), [len(counts) for _, counts in parts]))
+    dtype = np.int64 if sum(int(counts.sum()) for _, counts in parts) < 2**63 else object
+    counts = np.concatenate([counts for _, counts in parts]).astype(dtype, copy=False)
+    alphabets = (*alphabets, tuple(range(len(parts))))
+    return ContingencyTable._from_codes(alphabets, tuple(columns), counts)
+
+
 def merge(a: ContingencyTable, b: ContingencyTable) -> ContingencyTable:
     """Cellwise sum of two tables with the same arity: a's cells, then b's new ones."""
     if a.arity != b.arity:
         raise ValueError(f"cannot merge tables of arity {a.arity} and {b.arity}")
-    alphabets, columns, counts = _stacked((a.counts, b.counts))
-    return ContingencyTable._from_codes(alphabets, *_group(alphabets, columns, counts))
+    # The union of the alphabets lists a's labels first, so only b's codes change.
+    alphabets = tuple(tuple(dict.fromkeys(chain(*pair))) for pair in zip(a.alphabets, b.alphabets))
+    recoded = tuple(
+        np.fromiter(map(_label_index(union).__getitem__, own), np.int64, len(own))[codes]
+        for union, own, codes in zip(alphabets, b.alphabets, b._codes)
+    )
+    stack = _stacked(alphabets, [(a._codes, a._cell_counts), (recoded, b._cell_counts)])
+    cells = _group(alphabets, stack._codes[:-1], stack._cell_counts)
+    return ContingencyTable._from_codes(alphabets, *cells)
 
 
 def project(table: ContingencyTable, subset: Iterable[int]) -> ContingencyTable:

@@ -553,6 +553,22 @@ class TestBatch:
         assert lines[0] == CSV_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["a.txt", "a.txt"]
 
+    def test_results_file_hard_linked_into_an_input_is_not_read(self, runner, tmp_path):
+        datadir = tmp_path / "regions"
+        datadir.mkdir()
+        write_rows(datadir / "a.txt", [("1", "2", "3"), ("1", "2", "4")])
+        write_rows(datadir / "b.txt", [("1", "2", "3")])
+        out = tmp_path / "runs.csv"
+        args = ["batch", str(datadir), "--output", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        first = out.read_text(encoding="utf-8")
+        os.link(out, datadir / "zz.csv")  # another name of the results file, not a symlink
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+        # Only the case files' rows are appended again.
+        assert out.read_text(encoding="utf-8") == first + first.split("\n", 1)[1]
+        assert result.stderr == "batch: 2 files, 2 rows appended, 0 skipped\n"
+
     def test_twenty_one_region_files_give_twenty_one_rows(self, runner, tmp_path):
         datadir = tmp_path / "counties"
         datadir.mkdir()
@@ -635,7 +651,9 @@ class TestBatch:
     # the same labels quoted and padded, next to a wide one and an empty
     # one; then a 4-dimension file teaches new labels in its first lines
     # and has a bad quote many lines on; two files follow that spell its
-    # labels, one of them with a label that appears after its first block.
+    # labels, one of them with a label that appears after its first block,
+    # the other with a NUL byte inside a label in its middle lines, whose
+    # block is split as text while its neighbours are coded by their bytes.
     SPELLED = {
         "a.txt": [f"r{i},w{i % 3},x{i % 2},y{i % 5},z1" for i in range(12)],
         "b.txt": [
@@ -646,7 +664,12 @@ class TestBatch:
         + ['bad,"new1,x1,y1,z1']
         + [f"r{i},new1,x1,y1,z1" for i in range(4)],
         "d.txt": [f'r{i}, "new{i % 3}" ,x{i % 2},"y{i}"' for i in range(12)] + ["late,w9,x9,y9"],
-        "e.txt": [f'r{i},"new{i % 2}",{"x1" * (i % 4 > 0)}, y{i % 3} ,"z1"' for i in range(12)],
+        "e.txt": [
+            'nul,new1,"x\0y",y1,z1'
+            if i == 6
+            else f'r{i},"new{i % 2}",{"x1" * (i % 4 > 0)}, y{i % 3} ,"z1"'
+            for i in range(12)
+        ],
     }
 
     @pytest.mark.parametrize("block", [16, 64])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, product, repeat
 from math import fsum, log2
 
 import numpy as np
@@ -88,6 +88,25 @@ class TestTransmission:
         assert transmission(golden4_table, (0, 1, 3)) < 0
         assert transmission(golden4_table, (0, 1, 2)) > 0
         assert transmission(golden4_table, (1, 2, 3)) == pytest.approx(0.0, abs=1e-12)
+
+    # Equiprobable binary rows, one per combination of the free bits.
+    @pytest.mark.parametrize(
+        "row,free,t_wxyz,t_wxy",
+        [
+            (lambda b: (b, b, b, b), 1, 1.0, 1.0),  # four copies: pure redundancy
+            (lambda w, x, y: (w, x, y, w ^ x ^ y), 3, 1.0, 0.0),  # four-way parity: pure synergy
+            (lambda w, x, z: (w, x, w ^ x, z), 3, 0.0, -1.0),  # three-way parity, a free bit
+            (lambda b, z: (b, b, b, z), 2, 0.0, 1.0),  # three copies, a free bit
+        ],
+        ids=["four-copies", "four-way-parity", "three-way-parity", "three-copies"],
+    )
+    def test_sign_in_four_dimensions(self, row, free, t_wxyz, t_wxy):
+        # Negative T reads as synergy in three dimensions only: in four,
+        # redundancy and synergy both give T(WXYZ) = +1.
+        rows = [tuple(map(str, row(*bits))) for bits in product((0, 1), repeat=free)]
+        report = full_report(oracles.table_from_rows(rows))
+        assert report.t[(0, 1, 2, 3)] == pytest.approx(t_wxyz, abs=1e-12)
+        assert report.t[(0, 1, 2)] == pytest.approx(t_wxy, abs=1e-12)
 
     def test_constant_table_is_all_zero(self):
         table = oracles.table_from_rows([("a", "b", "c", "d")] * 9)
@@ -459,11 +478,21 @@ def mixed_tables(draw):
 
 def stacked(tables):
     """Tables of one arity laid side by side as batch lays a chunk's files:
-    on shared alphabets, with a last dimension holding each cell's table."""
-    alphabets, columns, counts = _stacked([table.counts for table in tables])
-    columns.append(np.repeat(np.arange(len(tables)), [len(table.counts) for table in tables]))
-    alphabets += (tuple(range(len(tables))),)
-    return ContingencyTable._from_codes(alphabets, tuple(columns), counts)
+    on shared alphabets, the union of theirs, with a last dimension holding
+    each cell's table."""
+    pooled = zip(*(table.alphabets for table in tables))
+    alphabets = tuple(tuple(dict.fromkeys(chain(*labels))) for labels in pooled)
+    parts = [
+        (
+            tuple(
+                np.array([alphabet.index(label) for label in own], np.int64)[codes]
+                for alphabet, own, codes in zip(alphabets, table.alphabets, table._codes)
+            ),
+            table._cell_counts,
+        )
+        for table in tables
+    ]
+    return _stacked(alphabets, parts)
 
 
 @given(st.lists(mixed_tables(), max_size=8))

@@ -140,17 +140,33 @@ class TestMerge:
         b = oracles.table_from_rows(oracles.random_rows(rng, 3, (3, 2, 4), 15))
         assert dict(merge(a, b).counts) == dict(merge(b, a).counts)
 
-    def test_stacked_views_share_one_union_alphabet(self):
+    def test_merge_recodes_into_one_union_alphabet(self):
         tables = [
             ContingencyTable.from_counts(2, {("a", "p"): 1, ("b", "q"): 2}),
             ContingencyTable.from_counts(2, {("c", "q"): 3}),
             ContingencyTable.from_counts(2, {("b", "r"): 4, ("a", "p"): 5}),
         ]
-        alphabets, columns, counts = _stacked([table.counts for table in tables])
+        merged = merge(merge(tables[0], tables[1]), tables[2])
         # Labels in order of first appearance across the tables; codes recoded into them.
-        assert alphabets == (("a", "b", "c"), ("p", "q", "r"))
-        assert [codes.tolist() for codes in columns] == [[0, 1, 2, 1, 0], [0, 1, 1, 2, 0]]
-        assert counts.dtype == np.int64 and counts.tolist() == [1, 2, 3, 4, 5]
+        assert merged.alphabets == (("a", "b", "c"), ("p", "q", "r"))
+        assert [codes.tolist() for codes in merged._codes] == [[0, 1, 2, 1], [0, 1, 1, 2]]
+        assert merged._cell_counts.dtype == np.int64
+        assert merged._cell_counts.tolist() == [6, 2, 3, 4]
+
+    @pytest.mark.parametrize("big", [2**62 - 1, 2**62])
+    def test_stacked_lays_parts_side_by_side(self, big):
+        alphabets = (("a", "b"), ("p", "q", "r"))
+        parts = [
+            ((np.array([0, 1]), np.array([2, 0])), np.array([big, 1])),
+            ((np.array([], np.int64), np.array([], np.int64)), np.array([], np.int64)),
+            ((np.array([1]), np.array([1])), np.array([big - 1])),
+        ]
+        stack = _stacked(alphabets, parts)
+        assert stack.alphabets == (*alphabets, (0, 1, 2))
+        assert [codes.tolist() for codes in stack._codes] == [[0, 1, 1], [2, 0, 1], [0, 0, 2]]
+        # The counts sum to 2 * big: exact Python ints from 2**63 on.
+        assert stack._cell_counts.tolist() == [big, 1, big - 1] and stack.total == 2 * big
+        assert stack._cell_counts.dtype == (np.int64 if 2 * big < 2**63 else object)
 
 
 rows_strategy = st.lists(
