@@ -22,9 +22,8 @@ import os
 import sys
 import threading
 from decimal import ROUND_HALF_UP, Decimal
-from functools import partial
 from pathlib import Path
-from typing import Callable, NoReturn, TypeVar
+from typing import NoReturn
 
 import click
 
@@ -46,7 +45,7 @@ from .infocalc import (
 )
 from .ingest import _read_cells, load_table
 from .maxent import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, ipf_fit, krippendorff_interaction
-from .tables import _Cells, _stacked, project
+from .tables import ContingencyTable, _Cells, _stacked, project
 
 EXIT_IO_ERROR = 1
 EXIT_USAGE = 2  # also the exit code of click's own usage failures
@@ -66,8 +65,6 @@ DECOMP_HEADER = "group,n,weight,T_group,contribution,reduction"
 # batch computes its reports a chunk of files at a time, once the tables
 # it holds reach this many cells; the bound keeps its memory flat.
 _CHUNK_CELLS = 2**13
-
-_Loaded = TypeVar("_Loaded")
 
 
 def format_value(value: float, precision: int) -> str:
@@ -203,49 +200,43 @@ def _fail(code: int, message: str) -> NoReturn:
     sys.exit(code)
 
 
-def _load(
-    path: str | Path,
-    drop_empty: bool,
-    keep_going: bool = False,
-    before_failure: Callable[[], None] = lambda: None,
-    read: Callable[..., _Loaded] = load_table,
-) -> _Loaded | None:
-    """read(path, drop_empty=drop_empty), load_table by default, or exit: 1
-    for an unreadable file, 3 for bad data.
+def _file_failure(verb: str, path: str | Path, exc: Exception) -> tuple[int, str]:
+    """Exit code and message for a failed `verb` ("read" or "write") of `path`:
+    1 for I/O, 3 for bad input data, 1 for append_row's foreign header."""
+    if isinstance(exc, OSError):
+        return EXIT_IO_ERROR, f"cannot {verb} {path}: {exc.strerror or exc}"
+    if isinstance(exc, InputDataError):
+        return EXIT_DATA_ERROR, f"{path}: {exc}"
+    return EXIT_IO_ERROR, f"{path}: {exc}"
 
-    With keep_going, bad data is a warning and gives None instead.
-    before_failure runs ahead of any such message.
-    """
+
+def _load(path: Path, drop_empty: bool) -> ContingencyTable:
+    """The table of one case-record file, or exit as _file_failure says."""
     try:
-        return read(path, drop_empty=drop_empty)
-    except OSError as exc:
-        before_failure()
-        _fail(EXIT_IO_ERROR, f"cannot read {path}: {exc.strerror or exc}")
-    except InputDataError as exc:
-        before_failure()
-        if not keep_going:
-            _fail(EXIT_DATA_ERROR, f"{path}: {exc}")
-        click.echo(f"warning: skipping {path}: {exc}", err=True)
-        return None
+        return load_table(path, drop_empty=drop_empty)
+    except (OSError, InputDataError) as exc:
+        _fail(*_file_failure("read", path, exc))
 
 
 def _append(path: Path, row: str) -> None:
     try:
         append_row(path, row)
-    except OSError as exc:
-        _fail(EXIT_IO_ERROR, f"cannot write {path}: {exc.strerror or exc}")
-    except ValueError as exc:
-        _fail(EXIT_IO_ERROR, f"{path}: {exc}")
+    except (OSError, ValueError) as exc:
+        _fail(*_file_failure("write", path, exc))
 
 
 def _expand_inputs(inputs: tuple[str, ...], results: Path) -> list[str]:
     """Matched files in sorted path order, one per real file, none of them
-    the file `results` under any name, a hard link's included."""
+    the file `results` under any name, a hard link's included. A matched
+    directory that cannot be listed exits 1 before any row is appended."""
     found: set[str] = set()
     for item in inputs:
         path = Path(item)
         if path.is_dir():
-            found.update(str(p) for p in path.iterdir() if p.is_file())
+            try:
+                found.update(str(p) for p in path.iterdir() if p.is_file())
+            except OSError as exc:
+                _fail(*_file_failure("read", item, exc))
         elif path.is_file():
             found.add(item)
         else:
@@ -378,14 +369,20 @@ def batch(inputs, output_path, precision, full_precision, drop_empty, keep_going
         held.clear()
         coders.clear()
 
+    # A failed file's message comes after the held files' rows. --keep-going
+    # skips a file of bad data with a warning; any other failure exits.
     skipped = 0
-    read = partial(_read_cells, coders=coders)
     for name, path in by_name.items():
-        loaded = _load(path, drop_empty, keep_going, before_failure=flush, read=read)
-        if loaded is None:
+        try:
+            held.append((name, _read_cells(path, coders, drop_empty)))
+        except (OSError, InputDataError) as exc:
+            flush()
+            code, message = _file_failure("read", path, exc)
+            if code != EXIT_DATA_ERROR or not keep_going:
+                _fail(code, message)
+            click.echo(f"warning: skipping {message}", err=True)
             skipped += 1
             continue
-        held.append((name, loaded))
         if sum(len(counts) for _, (_, counts) in held) >= _CHUNK_CELLS:
             flush()
     flush()
@@ -434,7 +431,7 @@ def decompose(input_path, output_path, group_by, subset, precision, drop_empty):
             with open(output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join([DECOMP_HEADER, *rows]) + "\n")
         except OSError as exc:
-            _fail(EXIT_IO_ERROR, f"cannot write {output_path}: {exc.strerror or exc}")
+            _fail(*_file_failure("write", output_path, exc))
     click.echo(
         f"T({subset_name(result.subset)}) grouped by {group_by}: "
         f"{table.arity} dimensions, {len(result.groups)} groups"

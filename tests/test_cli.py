@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -776,14 +778,17 @@ class TestBatch:
         assert result.stdout == ""
         assert out.read_text(encoding="utf-8") == "name,value\nold,1\n"
 
-    @pytest.mark.parametrize("failure", ["bad data", "bad data, keep going", "unreadable"])
+    @pytest.mark.parametrize(
+        "failure", ["bad data", "bad data, keep going", "unreadable", "unreadable, keep going"]
+    )
     def test_failure_in_a_chunk_comes_after_the_earlier_rows(
         self, runner, tmp_path, monkeypatch, failure
     ):
         a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
         write_rows(a, [("1", "2", "3")])
         write_rows(c, [("1", "2", "3"), ("1", "2", "4")])
-        if failure == "unreadable":  # matched, then removed before it is read
+        unreadable = failure.startswith("unreadable")
+        if unreadable:  # matched, then removed before it is read
             matched = [str(a), str(b), str(c)]
             monkeypatch.setattr(cli, "_expand_inputs", lambda inputs, results: matched)
         else:
@@ -791,13 +796,15 @@ class TestBatch:
         assert cli._CHUNK_CELLS > 3  # the three files make one chunk
         out = tmp_path / "runs.csv"
         args = ["batch", str(tmp_path), "--output", str(out)]
-        result = runner.invoke(main, args + ["--keep-going"] * (failure == "bad data, keep going"))
+        result = runner.invoke(main, args + ["--keep-going"] * failure.endswith("keep going"))
         message = result.stderr.splitlines()[0]
         assert message.startswith(
             {
                 "bad data": f"error: {b}: ",
                 "bad data, keep going": f"warning: skipping {b}: ",
                 "unreadable": f"error: cannot read {b}: No such file or directory",
+                # --keep-going skips only bad data
+                "unreadable, keep going": f"error: cannot read {b}: No such file or directory",
             }[failure]
         )
         if failure == "bad data, keep going":
@@ -808,7 +815,7 @@ class TestBatch:
         else:
             rows = ["a.txt: 1 cases, 3 dimensions"]
             assert result.output.splitlines() == [rows[0], message]
-            assert result.exit_code == (1 if failure == "unreadable" else EXIT_DATA_ERROR)
+            assert result.exit_code == (EXIT_IO_ERROR if unreadable else EXIT_DATA_ERROR)
         written = out.read_text(encoding="utf-8").splitlines()[1:]
         assert [line.split(",")[0] for line in written] == [row.split(":")[0] for row in rows]
 
@@ -1095,6 +1102,27 @@ class TestFailurePaths:
             "batch: 2 files, 1 rows appended, 1 skipped\n"
         )
         assert result.stdout == "a.txt: 1 cases, 3 dimensions\n"
+
+    def test_batch_on_a_directory_that_cannot_be_listed(self, runner, tmp_path, monkeypatch):
+        good, locked = tmp_path / "a.txt", tmp_path / "locked"
+        write_rows(good, [("1", "2", "3")])
+        locked.mkdir()
+        iterdir = Path.iterdir
+
+        def refuse(self):  # as root, chmod 000 does not deny the listing
+            if self == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return iterdir(self)
+
+        monkeypatch.setattr(Path, "iterdir", refuse)
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(good), str(locked), "--output", str(out)])
+        assert result.exit_code == EXIT_IO_ERROR
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.stderr == f"error: cannot read {locked}: Permission denied\n"
+        assert result.stdout == ""
+        assert not out.exists()
 
     def test_batch_refuses_two_files_of_one_name(self, runner, tmp_path):
         first, second = tmp_path / "one" / "a.txt", tmp_path / "two" / "a.txt"
