@@ -227,8 +227,9 @@ def _append(path: Path, row: str) -> None:
 
 def _expand_inputs(inputs: tuple[str, ...], results: Path) -> list[str]:
     """Matched files in sorted path order, one per real file, none of them
-    the file `results` under any name, a hard link's included. A matched
-    directory that cannot be listed exits 1 before any row is appended."""
+    the file `results` under any name, a hard link's included. Exits before
+    any row is appended: 1 if a matched directory cannot be listed, 2 if an
+    input without glob characters names no file or directory."""
     found: set[str] = set()
     for item in inputs:
         path = Path(item)
@@ -239,6 +240,8 @@ def _expand_inputs(inputs: tuple[str, ...], results: Path) -> list[str]:
                 _fail(*_file_failure("read", item, exc))
         elif path.is_file():
             found.add(item)
+        elif not globmod.has_magic(item):
+            raise click.UsageError(f"{item!r} is neither a file nor a directory")
         else:
             found.update(p for p in globmod.glob(item) if os.path.isfile(p))
     unique: dict[str, str] = {}

@@ -7,22 +7,21 @@ line's comma count on the bytes, screens the ids by their first byte,
 turns each label column into integer codes, and counts the cells on
 those codes, which the table keeps. An id led by printable ASCII other
 than the quote passes; only the rest have their quotes counted, and an
-id not passed then is checked as text. A field of at most 8 bytes
-is coded by its spelling key, its bytes read as one little-endian uint64
-with zeros past its end. Each dimension's coder (_Codes) keeps the keys
-it has seen sorted beside their codes, and finds a column's keys among
-them by a multiplicative hash into a table of their indices, searching
-the sorted keys only for a key not in its slot. The table is rebuilt
-whenever the keys grow, so a fresh coder probes like any other. The
-keys a block has not seen before are spelled back to text in one
-decode, and each is cleaned once, straight into the labels. A column
-with a wider field, or any column of a block holding a NUL byte (zero
-padding is not injective there), is split as text and every field
-looked up in a dict from raw field text to code, which cleans each
-distinct spelling once. No record is kept and the file is read once:
-the first block to fail a check holds the file's first bad line, and
-only that block is checked again, one line at a time, to raise that
-line's error.
+id not passed then is checked as text. A field of at most 8 bytes is
+coded by its spelling key: its bytes read as one little-endian uint64,
+each flipped by 0xF5, which no UTF-8 byte is, and zeros past its end.
+Each dimension's coder (_Codes) keeps the keys it has seen sorted
+beside their codes, and finds a column's keys among them by a
+multiplicative hash into a table of their indices, searching the sorted
+keys only for a key not in its slot. The table is rebuilt whenever the
+keys grow, so a fresh coder probes like any other. The keys a block has
+not seen before are spelled back to text in one decode, and each is
+cleaned once, straight into the labels. A column with a wider field is
+split as text and every field looked up in a dict from raw field text
+to code, which cleans each distinct spelling once. No record is kept
+and the file is read once: the first block to fail a check holds the
+file's first bad line, and only that block is checked again, one line
+at a time, to raise that line's error.
 
 load_table makes fresh coders for each file, so a table's alphabets
 are its own labels. `th4 batch` reads each chunk of files with one list
@@ -67,6 +66,9 @@ _BLOCK = 1 << 17
 _BARE_LEAD = np.zeros(256, bool)
 _BARE_LEAD[0x21:0x7F] = True
 _BARE_LEAD[ord('"')] = False
+# A spelling key's bytes are flipped: no UTF-8 byte is 0xF5, so every byte of
+# a field keys nonzero, NUL included, and the zero padding marks where it ends.
+_FLIP = np.uint64(0xF5F5F5F5F5F5F5F5)
 # The low n bytes of a uint64, n = 0..8: a spelling key from the 8 bytes at a field's start.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 # Multiplicative hashing: a key's slot is the top bits of its product
@@ -158,7 +160,7 @@ class _Codes(dict):
     def __init__(self):
         super().__init__()
         self.labels: dict[str, int] = {}
-        # No key is all 0xff bytes, which UTF-8 never holds: every key sorts before it.
+        # No key is all 0xff bytes, which only newlines flip to: every key sorts before it.
         self.keys = np.array([2**64 - 1], np.uint64)
         self.codes = np.array([-1])
         self.slots = _hash_slots(self.keys, _SLOTS_PER_KEY.bit_length())
@@ -182,14 +184,13 @@ class _Codes(dict):
             first = np.full(fresh.size, added.size)
             np.minimum.at(first, inverse, np.arange(added.size))
             order = first.argsort()  # new labels get codes in first-appearance order
-            # The S8 view drops each key's zero padding; no spelled field
-            # holds a NUL or a newline.
-            spellings = b"\n".join(fresh[order].astype("<u8", copy=False).view("S8").tolist())
+            # Zero padding flips back to 0xF5, which no spelled field holds.
+            spellings = b"\n".join((fresh[order] ^ _FLIP).astype("<u8").view("V8").tolist())
             labels = self.labels
             fresh_codes = np.empty(fresh.size, np.int64)
             fresh_codes[order] = [
                 labels.setdefault(_clean_field(raw, 0), len(labels))
-                for raw in spellings.decode().split("\n")
+                for raw in spellings.replace(b"\xf5", b"").decode().split("\n")
             ]
             codes[new] = fresh_codes[inverse]
             into = np.searchsorted(self.keys, fresh)
@@ -238,7 +239,7 @@ def _block_columns(
     # from cuts[d - 1] + 1 to cuts[d], and cuts[0] ends its id.
     cuts = [*comma_at.reshape(-1, width).T, ends]
     quote_at = np.flatnonzero(raw == ord('"'))
-    spelled = None if b"\0" in block else np.ndarray(len(block) + 1, "<u8", block + bytes(8), 0, 1)
+    spelled = np.ndarray(len(block) + 1, "<u8", block + bytes(8), 0, 1)
     fields = None
     try:  # _clean_field raises FormatError for a bad quote
         if quote_at.size:
@@ -257,10 +258,10 @@ def _block_columns(
         for d, lookup in enumerate(coders[:width], start=1):
             lo = cuts[d - 1] + 1
             size = cuts[d] - lo
-            if spelled is not None and size.max() <= 8:
-                columns.append(lookup.coded(spelled[lo] & _MASKS[size]))
+            if size.max() <= 8:
+                columns.append(lookup.coded((spelled[lo] ^ _FLIP) & _MASKS[size]))
                 continue
-            if fields is None:  # a wide field or a NUL byte: split the text
+            if fields is None:  # a wide field: split the text
                 body = text[:-1] if text.endswith("\n") else text
                 if not kept.all():
                     body = "\n".join(compress(body.split("\n"), kept.tolist()))

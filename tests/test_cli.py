@@ -465,6 +465,21 @@ class TestBatch:
         assert result.exit_code == 2
         assert not out.exists()
 
+    def test_a_missing_input_is_usage_error_before_any_file_is_read(
+        self, runner, tmp_path, monkeypatch
+    ):
+        good, typo = tmp_path / "a.txt", tmp_path / "typo.txt"
+        write_rows(good, [("1", "2", "3")])
+        read = []
+        monkeypatch.setattr(cli, "_read_cells", lambda *args: read.append(args))
+        out = tmp_path / "runs.csv"
+        result = runner.invoke(main, ["batch", str(good), str(typo), "--output", str(out)])
+        assert result.exit_code == EXIT_USAGE
+        assert f"{str(typo)!r} is neither a file nor a directory" in result.stderr
+        assert result.stdout == ""
+        assert read == []
+        assert not out.exists()
+
     def test_failure_aborts_but_keeps_prior_rows(self, runner, tmp_path):
         datadir = tmp_path / "regions"
         datadir.mkdir()
@@ -654,8 +669,9 @@ class TestBatch:
     # one; then a 4-dimension file teaches new labels in its first lines
     # and has a bad quote many lines on; two files follow that spell its
     # labels, one of them with a label that appears after its first block,
-    # the other with a NUL byte inside a label in its middle lines, whose
-    # block is split as text while its neighbours are coded by their bytes.
+    # the other with two labels in its middle lines that differ only by a
+    # trailing NUL byte at the 8-byte edge, each coded by its bytes, which
+    # the shared coders keep apart.
     SPELLED = {
         "a.txt": [f"r{i},w{i % 3},x{i % 2},y{i % 5},z1" for i in range(12)],
         "b.txt": [
@@ -667,9 +683,9 @@ class TestBatch:
         + [f"r{i},new1,x1,y1,z1" for i in range(4)],
         "d.txt": [f'r{i}, "new{i % 3}" ,x{i % 2},"y{i}"' for i in range(12)] + ["late,w9,x9,y9"],
         "e.txt": [
-            'nul,new1,"x\0y",y1,z1'
-            if i == 6
-            else f'r{i},"new{i % 2}",{"x1" * (i % 4 > 0)}, y{i % 3} ,"z1"'
+            {6: "nul,new1,abcdefg\0,y1,z1", 8: 'nil,"new0",abcdefg,y2,z1'}.get(
+                i, f'r{i},"new{i % 2}",{"x1" * (i % 4 > 0)}, y{i % 3} ,"z1"'
+            )
             for i in range(12)
         ],
     }

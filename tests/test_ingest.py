@@ -196,8 +196,12 @@ def assert_same_outcome(path, drop_empty=False):
 # Fields of at most 8 bytes are coded by their bytes, wider ones as text:
 # "abcdef" spells 8 bytes quoted or padded on both sides, "abcdefgh" 8
 # bare and 10 quoted; "abcde€" is 8 bytes and "abcdef€" 9, the € across
-# the edge. A NUL byte sends its whole block to the text path.
-LABELS = ("a", "b", "", "c d", "é", "abcdef", "abcdefgh", "abcde€", "abcdef€", "a\x00")
+# the edge. A NUL is a byte like any other: "abcdefg\0" and "\0" * 8 are
+# 8 bytes bare, and differ from "abcdefg", "\0" and "" only by NULs.
+LABELS = (
+    "a", "b", "", "c d", "é", "abcdef", "abcdefgh", "abcde€", "abcdef€",
+    "a\x00", "abcdefg", "abcdefg\x00", "\x00" * 8, "\x00",
+)
 
 
 @st.composite
@@ -380,6 +384,30 @@ def test_one_dimension_coded_by_bytes_and_by_text(tmp_path, monkeypatch):
     assert_same_outcome(path)
     assert keyed == [3, 3, 3, 2, 2, 2, 2, 2]
     assert load_table(path).alphabets[0] == ("x", "y", "a label wider than 8")
+
+
+def test_labels_that_differ_by_nul_bytes_are_coded_by_their_bytes(tmp_path, monkeypatch):
+    # One block of narrow labels, some of them NUL bytes only: every
+    # column is coded by its keys, and no field is split as text.
+    path = tmp_path / "cases.txt"
+    path.write_bytes(
+        b"a,abcdefg\0,\0,p\nb,abcdefg,\0\0,p\nc,\0\0\0\0\0\0\0\0,,p\nd,abcdefg,\0,p\n"
+    )
+    keyed = []  # the size of each column coded by its bytes
+    coded = ingest._Codes.coded
+    monkeypatch.setattr(
+        ingest._Codes, "coded", lambda self, keys: keyed.append(keys.size) or coded(self, keys)
+    )
+    monkeypatch.setattr(
+        ingest._Codes, "__missing__", lambda self, raw: pytest.fail(f"{raw!r} split as text")
+    )
+    assert_same_outcome(path)
+    assert keyed == [4, 4, 4]
+    assert load_table(path).alphabets == (
+        ("abcdefg\0", "abcdefg", "\0" * 8),
+        ("\0", "\0\0", ""),
+        ("p",),
+    )
 
 
 @pytest.mark.parametrize("block", [ingest._BLOCK, 16])
